@@ -7,13 +7,8 @@ show how angle digitization degrades the L-infinity loss.
 
 import numpy as np
 
-from qdp.gaussian_loader import (
-    LoaderTarget,
-    RyCnotAnsatz,
-    digitize,
-    loader_gate_resources,
-    train_sweep,
-)
+from qdp.circuit_estimator import loader_gate_resources
+from qdp.gaussian_loader import LoaderTarget, RyCnotAnsatz, digitize, train_sweep
 
 N_QUBITS = 4
 

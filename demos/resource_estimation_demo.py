@@ -22,9 +22,7 @@ def main():
         params = GBMParams.from_dict(config["model"])
         contract = contract_from_dict(config["contract"])
         for method in ("reparam", "riemann-no-norm", "riemann"):
-            report = end_to_end(
-                method, params, contract, FMT, 2e-3, eps_dens=5e-7
-            )
+            report = end_to_end(method, params, contract, FMT, 2e-3)
             rows.append((name, method, report))
 
     header = f"{'contract':<13} {'method':<16} {'T-count':>10} {'T-depth':>10} {'qubits':>7} {'N':>9} feasible"

@@ -134,12 +134,16 @@ def _clopper_pearson(ones: int, shots: int, alpha: float) -> tuple[float, float]
     return lo, hi
 
 
+# Measurement batch size per round; small batches keep the total oracle
+# consumption under the worst-case bound.
+SHOTS_PER_ROUND = 2
+
+
 def iqae_estimate(
     oracle: GroverOracleSim,
     epsilon: float,
     alpha: float,
     seed: int = 0,
-    n_shots: int = 2,
 ) -> EstimationResult:
     """Iteratively estimate the oracle's amplitude a to within epsilon.
 
@@ -152,9 +156,6 @@ def iqae_estimate(
         Allowed failure probability (confidence 1 - alpha).
     seed : int
         Makes the run deterministic.
-    n_shots : int
-        Measurement batch size per round; small batches keep the total
-        oracle consumption under the worst-case bound.
 
     Returns
     -------
@@ -185,8 +186,8 @@ def iqae_estimate(
             shots_at_k = 0
             ones_at_k = 0
 
-        ones = oracle.sample(k, n_shots, rng)
-        shots_at_k += n_shots
+        ones = oracle.sample(k, SHOTS_PER_ROUND, rng)
+        shots_at_k += SHOTS_PER_ROUND
         ones_at_k += ones
         total_ones += ones
 

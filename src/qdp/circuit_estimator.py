@@ -24,7 +24,7 @@ carry no T cost in this model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,21 +35,15 @@ from .market_model import GBMParams, build_covariance, sigma_max
 from .qarith_resources import (
     FixedPointFormat,
     ResourceCount,
-    add_depth,
     add_resources,
     arcsin_sqrt_resources,
     comparator_depth,
-    comparator_resources,
     controlled_rotation_depth,
-    controlled_rotation_resources,
     exp_resources,
-    from_toffoli,
     mul_resources,
-    or_resources,
     piecewise_poly_qubits,
     rotation_resources,
     serial,
-    sqrt_resources,
 )
 
 INFEASIBLE_SCALE = 1.0
@@ -216,6 +210,19 @@ def reparam_width(fmt: FixedPointFormat, d: int, T: int) -> FixedPointFormat:
     return FixedPointFormat(n=fmt.n + extra, p=fmt.p + extra)
 
 
+def loader_gate_resources(n: int, L: int, epsilon: float) -> ResourceCount:
+    """Fault-tolerant cost of one trained n-qubit loader register.
+
+    The Ry-CNOT ansatz has L+1 rotation layers; each layer costs
+    ceil(3 n log2(n/epsilon)) T gates under the register-rotation model,
+    and its rotations run in series, so T-count and T-depth agree.
+    """
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must be in (0, 1)")
+    layers = math.ceil(3 * n * math.log2(n / epsilon)) * (L + 1)
+    return ResourceCount(toffoli_count=0, t_count=layers, t_depth=layers, logical_qubits=n)
+
+
 def reparam_loading_resources(
     fmt: FixedPointFormat,
     d: int,
@@ -234,7 +241,6 @@ def reparam_loading_resources(
     multiplies, drift) and exponentiates into prices on widened
     registers.
     """
-    n = fmt.n
     wide = reparam_width(fmt, d, T)
     if z is None:
         z = wide.n
@@ -242,13 +248,13 @@ def reparam_loading_resources(
     mul = mul_resources(wide, z)
     expo = exp_resources(wide, k, M, z)
 
-    layer_depth = math.ceil(3 * n * math.log2(n / epsilon))
+    loader = loader_gate_resources(fmt.n, L, epsilon)
     items = [
         _item(
             "gaussian ansatz layers",
-            layer_depth * (L + 1),
-            T * d * n,
-            rotation_t=layer_depth * (L + 1) * d * T,
+            loader.t_depth,
+            loader.logical_qubits * d * T,
+            rotation_t=loader.t_count * d * T,
         ),
         _item(
             "cumulative standard-normal sums",
@@ -451,6 +457,8 @@ class EndToEndReport:
     amplitude half-width divided by ``scale``, so the normalization shows
     up in ``n_oracle`` and the totals; "riemann-no-norm" and "reparam" use
     the price-level half-width.  Totals are 2 * oracle * n_oracle.
+    ``budget.scale`` is P_max^T * f_delta for "riemann" and f_delta for the
+    other two methods, which apply no normalization.
     """
 
     method: str
@@ -502,13 +510,13 @@ def end_to_end(
     *,
     w: float = 5.0,
     L: int = 6,
-    gaussian_fmt: FixedPointFormat | None = None,
+    gaussian_fmt: FixedPointFormat = FixedPointFormat(n=5, p=3),
     k: int = 3,
     M: int = 32,
     z: int | None = None,
     beta: float = 17.0,
     eps_f: float = 1e-4,
-    eps_dens: float = 2e-6,
+    eps_dens: float = 5e-7,
     synthesis_epsilon: float = 1e-4,
 ) -> EndToEndReport:
     """End-to-end resource estimate for one pricing run.
@@ -533,6 +541,8 @@ def end_to_end(
         re-parameterization loader, polynomial/interval/parallelization
         knobs, the quadrature second-derivative bound, payoff and loader
         density error allocations, and the rotation synthesis precision.
+        These defaults are the only estimate defaults: the CLI forwards
+        just the keys a config sets.
 
     Raises
     ------
@@ -548,16 +558,15 @@ def end_to_end(
     bounds = payoff_bounds(contract, params.r)
 
     eps_trunc = eb.truncation_error(d, T, w)
-    if method in ("riemann", "riemann-no-norm"):
-        eps_disc = eb.discretization_error(beta, w, sig, d, T, fmt.n)
+    eps_disc = eb.discretization_error(beta, w, sig, d, T, fmt.n)
+    if method == "reparam":
+        eps_arith = eb.reparam_arith_error(w, d, T, eps_dens, eps_f)
+    else:
         eps_sum = eb.riemann_sum_error(fmt, w, sig, d, T)
         eps_dens_r = eb.riemann_density_error(
             eps_sum, eps_exp=1e-7, eps_sq=eb.eps_sqrt(0.0, fmt), eps_arcsin=1e-7
         )
         eps_arith = eps_dens_r + eps_f
-    else:
-        eps_disc = eb.discretization_error(beta, w, sig, d, T, fmt.n)
-        eps_arith = eb.reparam_arith_error(w, d, T, eps_dens, eps_f)
 
     fixed = eps_trunc + eps_disc + eps_arith
     if fixed >= target_error:
@@ -574,7 +583,15 @@ def end_to_end(
     # the reported budget still carries the full component values.
     eps_amp = max(target_error - fixed, 0.5 * target_error)
 
-    if method in ("riemann", "riemann-no-norm"):
+    # Currency per unit of normalized error: f_delta, times P_max^T only
+    # where the normalization is applied.
+    budget_scale = bounds.f_delta
+    if method == "reparam":
+        loading, loading_bd = reparam_loading_resources(
+            gaussian_fmt, d, T, L, synthesis_epsilon, k, M, z
+        )
+        scale = 1.0
+    else:
         loading, loading_bd = riemann_loading_resources(
             fmt, d, T, synthesis_epsilon, k, M, z
         )
@@ -585,18 +602,8 @@ def end_to_end(
             # and the price multiplies it back, so the amplitude has to be
             # resolved P_max^T times more finely.
             eps_amp = eps_amp / scale
-        budget = eb.riemann_total(
-            eps_trunc, eps_disc, eps_arith, eps_amp, p_max, T, bounds.f_delta
-        )
-    else:
-        g_fmt = gaussian_fmt or FixedPointFormat(n=5, p=3)
-        loading, loading_bd = reparam_loading_resources(
-            g_fmt, d, T, L, synthesis_epsilon, k, M, z
-        )
-        budget = eb.reparam_total(
-            eps_trunc, eps_disc, eps_arith, eps_amp, bounds.f_delta
-        )
-        scale = 1.0
+            budget_scale = scale * bounds.f_delta
+    budget = eb.ErrorBudget(eps_trunc, eps_disc, eps_arith, eps_amp, budget_scale)
 
     n_oracle = math.ceil(oracle_call_bound(eps_amp, 1.0 - confidence))
 

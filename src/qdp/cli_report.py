@@ -15,7 +15,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from importlib import resources as importlib_resources
@@ -25,13 +24,12 @@ import numpy as np
 from . import (
     amplitude_estimation as ae,
     circuit_estimator as ce,
-    error_budget as eb,
     gaussian_loader as gl,
     pricing_engines as pe,
     qarith_resources as qa,
 )
-from .contracts import contract_from_dict, payoff_bounds
-from .market_model import GBMParams, GridSpec, build_covariance, sigma_max
+from .contracts import AutocallableSpec, TARFSpec, contract_from_dict
+from .market_model import GBMParams, GridSpec
 
 # Published values the table1 report compares against (same benchmarks,
 # target error 2e-3): (t_count, t_depth, logical_qubits) per method and
@@ -88,12 +86,8 @@ def _parse_common(doc: dict):
     return params, contract
 
 
-def _fmt_from(doc: dict, key: str, default=None) -> qa.FixedPointFormat:
-    if key not in doc:
-        if default is None:
-            raise ConfigError(f"config is missing required key '{key}'")
-        return default
-    sub = doc[key]
+def _fmt_from(doc: dict, key: str) -> qa.FixedPointFormat:
+    sub = _require(doc, key)
     return qa.FixedPointFormat(n=int(_require(sub, "n", key)), p=int(_require(sub, "p", key)))
 
 
@@ -154,27 +148,35 @@ def _cmd_price_exact(doc: dict, digest: str, seed: int) -> dict:
     }
 
 
+# Config keys forwarded to end_to_end, with their types.  An absent or null
+# key keeps end_to_end's default, so the estimate defaults live there only.
+_ESTIMATE_KEYS = {
+    "confidence": float, "L": int, "k": int, "M": int, "z": int, "beta": float,
+    "eps_f": float, "eps_dens": float, "synthesis_epsilon": float,
+}
+
+
 def _estimate(doc: dict, method: str | None = None) -> ce.EndToEndReport:
     params, contract = _parse_common(doc)
-    fmt = _fmt_from(doc, "fmt")
-    gaussian_fmt = _fmt_from(doc, "gaussian_fmt", qa.FixedPointFormat(5, 3))
+    if not isinstance(contract, (AutocallableSpec, TARFSpec)):
+        raise ConfigError("resource estimates need an autocallable or tarf contract")
+    kwargs = {
+        key: cast(doc[key])
+        for key, cast in _ESTIMATE_KEYS.items()
+        if doc.get(key) is not None
+    }
+    w = (doc.get("grid") or {}).get("w")
+    if w is not None:
+        kwargs["w"] = float(w)
+    if doc.get("gaussian_fmt") is not None:
+        kwargs["gaussian_fmt"] = _fmt_from(doc, "gaussian_fmt")
     return ce.end_to_end(
         method or doc.get("method", "reparam"),
         params,
         contract,
-        fmt,
+        _fmt_from(doc, "fmt"),
         float(_require(doc, "target_error")),
-        float(doc.get("confidence", 0.68)),
-        w=float(doc.get("grid", {}).get("w", 5.0)),
-        L=int(doc.get("L", 6)),
-        gaussian_fmt=gaussian_fmt,
-        k=int(doc.get("k", 3)),
-        M=int(doc.get("M", 32)),
-        z=doc.get("z"),
-        beta=float(doc.get("beta", 17.0)),
-        eps_f=float(doc.get("eps_f", 1e-4)),
-        eps_dens=float(doc.get("eps_dens", 5e-7)),
-        synthesis_epsilon=float(doc.get("synthesis_epsilon", 1e-4)),
+        **kwargs,
     )
 
 
@@ -341,7 +343,7 @@ def main(argv=None) -> int:
         else:
             raise ConfigError(f"subcommand '{args.command}' requires --config")
         report = _COMMANDS[args.command](doc, digest, args.seed)
-    except (ConfigError, ValueError, KeyError, TypeError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

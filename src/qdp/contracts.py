@@ -15,7 +15,6 @@ normalization the quantum estimators assume can be checked classically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -139,6 +138,7 @@ class AutocallableSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AutocallableSpec":
+        _require_keys(doc, ("binaries", "k_put", "barrier", "notional", "barrier_dates"))
         return cls(
             binaries=tuple(tuple(b) for b in doc["binaries"]),
             k_put=float(doc["k_put"]),
@@ -202,6 +202,9 @@ class TARFSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TARFSpec":
+        _require_keys(
+            doc, ("forward", "payment_times", "k_upper", "k_lower", "barrier", "alpha", "cap")
+        )
         return cls(
             forward=float(doc["forward"]),
             payment_times=tuple(doc["payment_times"]),
@@ -225,6 +228,12 @@ class EuropeanCallSpec:
             raise ValueError("strike and expiry must be positive")
 
 
+def _require_keys(doc: dict, keys) -> None:
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"contract config missing keys: {missing}")
+
+
 def contract_from_dict(doc: dict):
     """Dispatch a contract JSON document on its "type" key."""
     kind = doc.get("type")
@@ -233,12 +242,40 @@ def contract_from_dict(doc: dict):
     if kind == "tarf":
         return TARFSpec.from_dict(doc)
     if kind == "european_call":
+        _require_keys(doc, ("strike", "expiry"))
         return EuropeanCallSpec(strike=float(doc["strike"]), expiry=float(doc["expiry"]))
     raise ValueError(f"unknown contract type: {kind!r}")
 
 
-def contract_from_json(text: str):
-    return contract_from_dict(json.loads(text))
+# Dates are matched to observation times within this many years, so a
+# decimal date matches its dt * k grid time despite float rounding.
+DATE_TOLERANCE = 1e-9
+
+
+def date_columns(times, dates) -> np.ndarray:
+    """Index into ``times`` of each date in ``dates``, matched within tolerance.
+
+    Raises
+    ------
+    ValueError
+        "missing observation date t" for the first date with no time
+        within ``DATE_TOLERANCE``.
+    """
+    times = np.asarray(times, dtype=float)
+    dates = np.asarray(dates, dtype=float)
+    cols = np.abs(dates[:, None] - times[None, :]).argmin(axis=1)
+    missed = np.abs(times[cols] - dates) > DATE_TOLERANCE
+    if missed.any():
+        raise ValueError(f"path is missing observation date {dates[missed][0]}")
+    return cols
+
+
+def _autocall_columns(times, spec: AutocallableSpec):
+    """Columns of the binary dates, the barrier dates, and the horizon."""
+    m, n_barrier = len(spec.binaries), len(spec.barrier_dates)
+    dates = [t for _, t, _ in spec.binaries] + list(spec.barrier_dates) + [spec.horizon]
+    cols = date_columns(times, dates)
+    return cols[:m], cols[m : m + n_barrier], cols[-1]
 
 
 def _reduce_basket(values: np.ndarray, basket: str) -> np.ndarray:
@@ -266,24 +303,15 @@ def autocall_payoff(times, cum_returns, spec: AutocallableSpec):
         At most one entry: either a binary coupon or the put settlement
         (possibly negative).  Empty when nothing pays.
     """
-    times = np.asarray(times, dtype=float)
     values = _reduce_basket(np.asarray(cum_returns, dtype=float), spec.basket)
-    lookup = {}
-    for t, v in zip(times, values):
-        lookup[float(t)] = float(v)
-
-    def at(t: float) -> float:
-        if t not in lookup:
-            raise ValueError(f"path is missing observation date {t}")
-        return lookup[t]
-
-    for strike, t, payout in spec.binaries:
-        if at(t) >= strike:
+    binary_cols, barrier_cols, final_col = _autocall_columns(times, spec)
+    for (strike, t, payout), col in zip(spec.binaries, binary_cols):
+        if values[col] >= strike:
             return [(t, payout)]
 
-    knocked_in = any(at(t) < spec.barrier for t in spec.barrier_dates)
+    knocked_in = bool(np.any(values[barrier_cols] < spec.barrier))
     final_t = spec.horizon
-    final_r = at(final_t)
+    final_r = float(values[final_col])
     if knocked_in and final_r < spec.k_put:
         return [(final_t, spec.notional * (final_r - spec.k_put))]
     return []
@@ -372,30 +400,22 @@ def autocall_payoff_batch(
     -------
     np.ndarray, shape (batch,)
     """
-    times = np.asarray(times, dtype=float)
     values = np.asarray(cum_returns, dtype=float)
     if values.ndim == 3:
         values = _reduce_basket(values, spec.basket)
-    index = {float(t): i for i, t in enumerate(times)}
-
-    def col(t: float) -> np.ndarray:
-        if t not in index:
-            raise ValueError(f"path is missing observation date {t}")
-        return values[:, index[t]]
+    binary_cols, barrier_cols, final_col = _autocall_columns(times, spec)
 
     batch = values.shape[0]
     payoff = np.zeros(batch)
     paid = np.zeros(batch, dtype=bool)
-    for strike, t, payout in spec.binaries:
-        hit = ~paid & (col(t) >= strike)
+    for (strike, t, payout), col in zip(spec.binaries, binary_cols):
+        hit = ~paid & (values[:, col] >= strike)
         payoff[hit] = math.exp(-r * t) * payout
         paid |= hit
 
-    knocked_in = np.zeros(batch, dtype=bool)
-    for t in spec.barrier_dates:
-        knocked_in |= col(t) < spec.barrier
+    knocked_in = np.any(values[:, barrier_cols] < spec.barrier, axis=1)
     final_t = spec.horizon
-    final_r = col(final_t)
+    final_r = values[:, final_col]
     put_live = ~paid & knocked_in & (final_r < spec.k_put)
     payoff[put_live] = (
         math.exp(-r * final_t) * spec.notional * (final_r[put_live] - spec.k_put)

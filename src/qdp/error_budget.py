@@ -12,9 +12,10 @@ to the normalized payoff range f_delta:
   (for the Riemann method, on the amplitude after the P_max^T
   normalization, so eps_amp * P_max^T is the price-level half-width).
 
-The Riemann-summation method additionally multiplies everything by the
-normalization scale P_max^T, which is what renders it impractical
-whenever P_max exceeds one.
+The normalized Riemann-summation method additionally multiplies
+everything by the normalization scale P_max^T, which is what renders it
+impractical whenever P_max exceeds one.  ``circuit_estimator.end_to_end``
+builds the :class:`ErrorBudget` for each method.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ class ErrorBudget:
     """Per-source error components (payoff-normalized) and their scale.
 
     ``scale`` is the factor converting the normalized component sum into
-    currency: P_max^T * f_delta for the Riemann method, f_delta for the
-    re-parameterization method.
+    currency: P_max^T * f_delta for the normalized Riemann method, f_delta
+    for the methods that apply no normalization.
     """
 
     eps_trunc: float
@@ -205,39 +206,3 @@ def eps_sin(eps_in: float, eps_sin0: float) -> float:
     """Error after sine: |sin(a+b) - sin(a)| <= |b| plus polynomial error."""
     return eps_in + eps_sin0
 
-
-def riemann_total(
-    eps_trunc: float,
-    eps_disc: float,
-    eps_arith: float,
-    eps_amp: float,
-    p_max: float,
-    T: int,
-    f_delta: float,
-) -> ErrorBudget:
-    """Error budget of the Riemann-summation method; scale = P_max^T * f_delta."""
-    scale = p_max**T * f_delta
-    return ErrorBudget(
-        eps_trunc=eps_trunc,
-        eps_disc=eps_disc,
-        eps_arith=eps_arith,
-        eps_amp=eps_amp,
-        scale=scale,
-    )
-
-
-def reparam_total(
-    eps_trunc: float,
-    eps_disc: float,
-    eps_arith: float,
-    eps_amp: float,
-    f_delta: float,
-) -> ErrorBudget:
-    """Error budget of the re-parameterization method; scale = f_delta."""
-    return ErrorBudget(
-        eps_trunc=eps_trunc,
-        eps_disc=eps_disc,
-        eps_arith=eps_arith,
-        eps_amp=eps_amp,
-        scale=f_delta,
-    )

@@ -24,8 +24,6 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import norm
 
-from .qarith_resources import ResourceCount
-
 MAX_QUBITS = 12
 
 
@@ -325,21 +323,3 @@ def digitize(
             break
     return {"params": theta, "l_inf": current}
 
-
-def loader_gate_resources(n: int, L: int, epsilon: float) -> ResourceCount:
-    """Fault-tolerant cost of the trained loader: L+1 rotation layers.
-
-    Depth follows the register-rotation model 3 n log2(n/epsilon) per
-    layer; each layer holds n parallel rotations of synthesis cost
-    3 log2(1/epsilon) T gates.
-    """
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    layer_depth = math.ceil(3 * n * math.log2(n / epsilon))
-    per_rotation = math.ceil(3 * math.log2(1 / epsilon))
-    return ResourceCount(
-        toffoli_count=0,
-        t_count=n * (L + 1) * per_rotation,
-        t_depth=layer_depth * (L + 1),
-        logical_qubits=n,
-    )

@@ -15,7 +15,7 @@ path densities factorize across time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import multivariate_normal, norm
@@ -159,16 +159,14 @@ def cholesky_factor(cov: np.ndarray) -> np.ndarray:
         raise ValueError("matrix is not positive-definite")
 
 
-def sigma_max(cov: np.ndarray, as_sqrt_eigenvalue: bool = True) -> float:
+def sigma_max(cov: np.ndarray) -> float:
     """Width scale used for lattice truncation bounds.
 
-    The default reads it as sqrt of the largest covariance eigenvalue, so
-    that w * sigma_max carries log-return units.  Passing
-    ``as_sqrt_eigenvalue=False`` selects the alternative literal reading
-    (the eigenvalue itself).
+    The square root of the largest covariance eigenvalue, so that
+    w * sigma_max carries log-return units.
     """
     lam = float(np.linalg.eigvalsh(np.asarray(cov, dtype=float)).max())
-    return float(np.sqrt(lam)) if as_sqrt_eigenvalue else lam
+    return float(np.sqrt(lam))
 
 
 @dataclass(frozen=True)
@@ -181,13 +179,10 @@ class GridSpec:
         Qubits per register; 2^n cells per dimension.
     w : float
         Truncation half-width in units of sigma_max.
-    sigma_max_as_sqrt_eigenvalue : bool
-        Convention for sigma_max; see :func:`sigma_max`.
     """
 
     n: int
     w: float
-    sigma_max_as_sqrt_eigenvalue: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -202,7 +197,7 @@ class GridSpec:
         every marginal standard deviation is covered by at least w sigmas.
         """
         cov = build_covariance(params)
-        half = self.w * sigma_max(cov, self.sigma_max_as_sqrt_eigenvalue)
+        half = self.w * sigma_max(cov)
         mu = params.step_means()
         return mu - half, mu + half
 

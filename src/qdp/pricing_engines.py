@@ -37,7 +37,6 @@ from .market_model import (
     build_covariance,
     cholesky_factor,
     lattice,
-    sigma_max,
 )
 
 _CHUNK_PATHS = 4096
@@ -96,6 +95,9 @@ def _batch_discounted_payoffs(
     if isinstance(contract, TARFSpec):
         if params.d != 1:
             raise ValueError("TARF evaluation requires a single underlying")
+        # Prices are observed at the model steps, so every payment date must
+        # be one of them; a misaligned date would be discounted at the wrong time.
+        contracts.date_columns(times, contract.payment_times)
         prices = np.asarray(params.s0)[0] * np.exp(np.cumsum(returns[:, :, 0], axis=1))
         return contracts.tarf_payoff_batch(prices, contract, params.r)
     if isinstance(contract, EuropeanCallSpec):
@@ -308,6 +310,5 @@ __all__ = [
     "reparam_distribution",
     "reparam_marginal_matches_lattice",
     "black_scholes_call",
-    "sigma_max",
     "MAX_LATTICE_PATHS",
 ]

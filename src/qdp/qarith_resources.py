@@ -289,15 +289,3 @@ def controlled_rotation_depth(fmt: FixedPointFormat, epsilon: float) -> int:
         return 0
     return math.ceil(3 * n_eff * math.log2(n_eff / epsilon))
 
-
-def controlled_rotation_resources(
-    fmt: FixedPointFormat, epsilon: float
-) -> ResourceCount:
-    """Register-controlled Ry cascade (one rotation per effective bit)."""
-    depth = controlled_rotation_depth(fmt, epsilon)
-    return ResourceCount(
-        toffoli_count=0,
-        t_count=depth,
-        t_depth=depth,
-        logical_qubits=fmt.n + 1,
-    )

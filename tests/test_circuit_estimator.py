@@ -12,11 +12,15 @@ from qdp.circuit_estimator import (
     end_to_end,
     importance_feasibility,
     importance_feasibility_process,
+    loader_gate_resources,
     reparam_loading_resources,
     reparam_width,
     riemann_loading_resources,
     tarf_payoff_resources,
 )
+from qdp.cli_report import _estimate, load_benchmark_config
+from qdp.contracts import contract_from_dict, payoff_bounds
+from qdp.market_model import GBMParams
 from qdp.qarith_resources import FixedPointFormat, ResourceCount
 
 FMT = FixedPointFormat(n=34, p=2)
@@ -61,8 +65,7 @@ class TestRiemannLoading:
         # The published loading figures describe the full Grover iterate,
         # which contains the state preparation twice.
         report = end_to_end(
-            "riemann-no-norm", autocall_params, autocall_contract, FMT, 2e-3,
-            eps_dens=5e-7,
+            "riemann-no-norm", autocall_params, autocall_contract, FMT, 2e-3
         )
         assert within_factor(2 * report.oracle.t_depth, 26_000)
         assert within_factor(report.logical_qubits, 23_000)
@@ -85,10 +88,18 @@ class TestReparamLoading:
 
     def test_benchmark_q_iterate_magnitudes(self, autocall_params, autocall_contract):
         report = end_to_end(
-            "reparam", autocall_params, autocall_contract, FMT, 2e-3, eps_dens=5e-7
+            "reparam", autocall_params, autocall_contract, FMT, 2e-3
         )
         assert within_factor(2 * report.oracle.t_depth, 9_500)
         assert within_factor(report.logical_qubits, 8_000)
+
+    def test_ansatz_item_is_loader_cost_per_register(self):
+        _, breakdown = reparam_loading_resources(G_FMT, 3, 20, 6, 1e-4)
+        layers = dict(breakdown.items)["gaussian ansatz layers"]
+        loader = loader_gate_resources(5, 6, 1e-4)
+        assert layers.t_depth == loader.t_depth
+        assert layers.t_count == 3 * 20 * loader.t_count
+        assert layers.logical_qubits == 3 * 20 * loader.logical_qubits
 
     def test_depth_linear_in_ansatz_layers(self):
         d0, _ = reparam_loading_resources(G_FMT, 1, 2, 0, 1e-4)
@@ -101,6 +112,24 @@ class TestReparamLoading:
             reparam, _ = reparam_loading_resources(G_FMT, d, T, 6, 1e-4)
             riemann, _ = riemann_loading_resources(FMT, d, T, 1e-4)
             assert reparam.t_depth < riemann.t_depth
+
+
+class TestLoaderResources:
+    def test_single_layer_at_L0(self):
+        rc = loader_gate_resources(5, 0, 1e-4)
+        assert rc.t_depth == math.ceil(3 * 5 * math.log2(5 / 1e-4))
+        # The layer's rotations run in series: T-count equals T-depth.
+        assert rc.t_count == rc.t_depth
+        assert rc.logical_qubits == 5
+
+    def test_linear_in_depth(self):
+        base = loader_gate_resources(5, 0, 1e-4)
+        assert loader_gate_resources(5, 6, 1e-4).t_depth == 7 * base.t_depth
+        assert loader_gate_resources(5, 6, 1e-4).t_count == 1645
+
+    def test_epsilon_guard(self):
+        with pytest.raises(ValueError):
+            loader_gate_resources(5, 6, 0.0)
 
 
 class TestPayoffCircuits:
@@ -144,7 +173,7 @@ class TestEndToEnd:
         reports = {
             method: end_to_end(
                 method, autocall_params, autocall_contract, FMT, 2e-3,
-                confidence=0.68, eps_dens=5e-7,
+                confidence=0.68,
             )
             for method in ("riemann", "riemann-no-norm", "reparam")
         }
@@ -157,9 +186,32 @@ class TestEndToEnd:
             raw.budget.eps_amp, rel=1e-12
         )
 
+    @pytest.mark.parametrize("name", ["autocallable", "tarf"])
+    def test_defaults_match_cli(self, name):
+        # The CLI forwards only the keys a config sets, so a library call
+        # with no keywords reproduces it on the shipped configs.
+        config = load_benchmark_config(name)
+        params = GBMParams.from_dict(config["model"])
+        contract = contract_from_dict(config["contract"])
+        for method in ("riemann", "riemann-no-norm", "reparam"):
+            library = end_to_end(method, params, contract, FixedPointFormat(34, 2), 2e-3)
+            assert library.as_dict() == _estimate(config, method).as_dict()
+
+    @pytest.mark.parametrize("name", ["autocallable", "tarf"])
+    def test_budget_scale_per_method(self, name):
+        config = load_benchmark_config(name)
+        params = GBMParams.from_dict(config["model"])
+        contract = contract_from_dict(config["contract"])
+        f_delta = payoff_bounds(contract, params.r).f_delta
+        riemann = end_to_end("riemann", params, contract, FMT, 2e-3)
+        assert riemann.budget.scale == riemann.scale * f_delta
+        for method in ("riemann-no-norm", "reparam"):
+            report = end_to_end(method, params, contract, FMT, 2e-3)
+            assert report.budget.scale == f_delta
+
     def test_totals_compose_from_oracle(self, tarf_params, tarf_contract):
         report = end_to_end(
-            "reparam", tarf_params, tarf_contract, FMT, 2e-3, eps_dens=5e-7
+            "reparam", tarf_params, tarf_contract, FMT, 2e-3
         )
         assert report.total_t_depth == 2 * report.oracle.t_depth * report.n_oracle
         assert report.total_t_count == 2 * report.oracle.t_count * report.n_oracle
@@ -169,8 +221,7 @@ class TestEndToEnd:
     ):
         with pytest.raises(ValueError, match="binding component eps_"):
             end_to_end(
-                "reparam", autocall_params, autocall_contract, FMT, 1e-6,
-                eps_dens=5e-7,
+                "reparam", autocall_params, autocall_contract, FMT, 1e-6
             )
 
     def test_unknown_method_rejected(self, autocall_params, autocall_contract):
@@ -179,11 +230,10 @@ class TestEndToEnd:
 
     def test_riemann_normalization_flag(self, autocall_params, autocall_contract):
         norm_report = end_to_end(
-            "riemann", autocall_params, autocall_contract, FMT, 2e-3, eps_dens=5e-7
+            "riemann", autocall_params, autocall_contract, FMT, 2e-3
         )
         raw_report = end_to_end(
-            "riemann-no-norm", autocall_params, autocall_contract, FMT, 2e-3,
-            eps_dens=5e-7,
+            "riemann-no-norm", autocall_params, autocall_contract, FMT, 2e-3
         )
         assert norm_report.scale == raw_report.scale > INFEASIBLE_SCALE
         assert not norm_report.feasible
@@ -193,7 +243,7 @@ class TestEndToEnd:
         self, autocall_params, autocall_contract
     ):
         report = end_to_end(
-            "reparam", autocall_params, autocall_contract, FMT, 2e-3, eps_dens=5e-7
+            "reparam", autocall_params, autocall_contract, FMT, 2e-3
         )
         doc = report.as_dict()
         assert doc["total_t_depth"] == report.total_t_depth

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from qdp import cli_report
 from qdp.cli_report import REFERENCE_RESULTS, load_benchmark_config, main
+from qdp.contracts import contract_from_dict, payoff_bounds
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +93,35 @@ class TestPricingCommands:
         assert code == 2
         assert "error:" in err
 
+    def test_price_mc_shipped_autocallable(self, capsys):
+        # Its decimal observation dates differ from the dt * k step times
+        # by float rounding; the tolerant date lookup still matches them.
+        config = resources.files("qdp.configs").joinpath("autocallable_benchmark.json")
+        code, out, err = run_cli(capsys, "price-mc", "--config", str(config))
+        assert code == 0, err
+        doc = json.loads(out)
+        cfg = load_benchmark_config("autocallable")
+        bounds = payoff_bounds(contract_from_dict(cfg["contract"]), cfg["model"]["r"])
+        assert bounds.f_min <= doc["estimate"] <= bounds.f_max
+
+    def test_missing_contract_key_reported(self, tmp_path, capsys):
+        doc = json.loads(Path(small_pricing_config(tmp_path)).read_text())
+        del doc["contract"]["k_put"]
+        config = tmp_path / "no_k_put.json"
+        config.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "price-mc", "--config", str(config))
+        assert code == 2
+        assert "k_put" in err
+
+    def test_internal_type_error_propagates(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("internal bug")
+
+        monkeypatch.setattr(cli_report.pe, "mc_price", broken)
+        config = small_pricing_config(tmp_path)
+        with pytest.raises(TypeError, match="internal bug"):
+            main(["price-mc", "--config", config])
+
     def test_missing_key_reported(self, tmp_path, capsys):
         incomplete = tmp_path / "incomplete.json"
         incomplete.write_text(json.dumps({"model": {
@@ -125,6 +158,15 @@ class TestEstimatorCommands:
         doc = json.loads(out)
         assert set(doc) >= {"eps_trunc", "eps_disc", "eps_arith", "eps_amp", "scale"}
         assert doc["eps_trunc"] + doc["eps_disc"] + doc["eps_arith"] < 2e-3
+
+    def test_unsupported_contract_is_config_error(self, tmp_path, capsys):
+        doc = load_benchmark_config("tarf")
+        doc["contract"] = {"type": "european_call", "strike": 20.0, "expiry": 1.0}
+        config = tmp_path / "call.json"
+        config.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "estimate-resources", "--config", str(config))
+        assert code == 2
+        assert "autocallable or tarf" in err
 
     def test_qarith_csv(self, capsys):
         code, out, err = run_cli(capsys, "qarith", "--format", "csv")

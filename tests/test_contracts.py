@@ -12,6 +12,7 @@ from qdp.contracts import (
     autocall_payoff,
     autocall_payoff_batch,
     contract_from_dict,
+    date_columns,
     discount_and_sum,
     denormalize,
     normalize,
@@ -92,6 +93,39 @@ class TestSpecs:
         spec = contract_from_dict(autocall_fixture["contract"])
         with pytest.raises(ValueError):
             autocall_payoff([1.0, 2.0], [1.0, 1.0], spec)
+
+    def test_missing_key_names_it(self, autocall_fixture, tarf_fixture):
+        for fixture, key in ((autocall_fixture, "k_put"), (tarf_fixture, "cap")):
+            doc = dict(fixture["contract"])
+            del doc[key]
+            with pytest.raises(ValueError, match=key):
+                contract_from_dict(doc)
+
+
+class TestDateColumns:
+    def test_rounded_grid_times_match(self):
+        # 0.05 * arange gives 0.6000000000000001 for the date 0.6.
+        times = 0.05 * np.arange(1, 21)
+        dates = [0.05 * k for k in range(1, 21)] + [0.6, 0.35, 1.0]
+        cols = date_columns(times, [round(t, 2) for t in dates])
+        assert cols.tolist() == list(range(20)) + [11, 6, 19]
+
+    def test_missing_date_named(self):
+        with pytest.raises(ValueError, match="missing observation date 0.62"):
+            date_columns([0.2, 0.4, 0.6], [0.2, 0.62])
+
+    def test_scalar_and_batch_agree_on_rounded_times(self):
+        spec = AutocallableSpec(
+            binaries=((1.1, 0.3, 2.0), (1.1, 0.6, 4.0)),
+            k_put=1.0, barrier=0.7, notional=18.0, barrier_dates=(0.3, 0.6),
+        )
+        times = 0.1 * np.arange(1, 7)  # 0.30000000000000004, ...
+        assert times[2] != 0.3
+        rng = np.random.default_rng(2)
+        paths = np.exp(np.cumsum(rng.normal(0.0, 0.2, (64, 6)), axis=1))
+        batch = autocall_payoff_batch(times, paths, spec, 0.02)
+        scalar = [discount_and_sum(autocall_payoff(times, p, spec), 0.02) for p in paths]
+        assert batch == pytest.approx(scalar, abs=1e-12)
 
 
 class TestDiscounting:

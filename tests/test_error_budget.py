@@ -5,6 +5,9 @@ import pytest
 from scipy.stats import norm
 
 from qdp import error_budget as eb
+from qdp.circuit_estimator import end_to_end
+from qdp.contracts import AutocallableSpec, payoff_bounds
+from qdp.market_model import GBMParams, build_covariance
 from qdp.qarith_resources import FixedPointFormat
 
 FMT = FixedPointFormat(n=34, p=2)
@@ -255,24 +258,44 @@ class TestFixedPointSimulation:
 
 
 class TestBudgets:
-    def test_riemann_scale(self):
-        budget = eb.riemann_total(0.0, 0.0, 0.0, 1e-3, 63.45, 20, 24.0)
-        assert budget.scale == pytest.approx(63.45**20 * 24.0)
-        assert budget.eps_total == pytest.approx(budget.scale * 1e-3)
+    """The per-method budget scale, as ``end_to_end`` builds it."""
+
+    def test_riemann_scale(self, autocall_params, autocall_contract):
+        report = end_to_end("riemann", autocall_params, autocall_contract, FMT, 2e-3)
+        p_max = eb.riemann_pmax(3, 5.0, build_covariance(autocall_params))
+        f_delta = payoff_bounds(autocall_contract, autocall_params.r).f_delta
+        budget = report.budget
+        assert budget.scale == pytest.approx(p_max**20 * f_delta, rel=1e-12)
+        assert budget.eps_total == pytest.approx(budget.scale * budget.components_sum)
 
     def test_pmax_one_reduces_to_f_delta(self):
-        budget = eb.riemann_total(1e-4, 1e-4, 0.0, 1e-3, 1.0, 20, 24.0)
-        assert budget.scale == pytest.approx(24.0)
+        # w = sqrt(2 pi) / 2 makes the one-asset P_max exactly 1, so the
+        # normalized Riemann scale P_max^T * f_delta is f_delta alone.
+        w = math.sqrt(2.0 * math.pi) / 2.0
+        assert eb.riemann_pmax(1, w) == pytest.approx(1.0, rel=1e-15)
+        params = GBMParams(
+            r=0.0, sigmas=(0.2,), rho=((1.0,),), dt=1.0, n_steps=1, s0=(1.0,)
+        )
+        spec = AutocallableSpec(
+            binaries=((1.1, 1.0, 6.0),), k_put=1.0, barrier=0.7, notional=18.0,
+            barrier_dates=(1.0,),
+        )
+        report = end_to_end("riemann", params, spec, FMT, 0.95, w=w)
+        assert report.budget.scale == pytest.approx(24.0, rel=1e-12)
 
-    def test_reparam_total(self):
-        budget = eb.reparam_total(1e-4, 1e-5, 1e-3, 1e-3, 24.0)
+    def test_reparam_total(self, tarf_params, tarf_contract):
+        budget = eb.ErrorBudget(1e-4, 1e-5, 1e-3, 1e-3, 24.0)
         assert budget.components_sum == pytest.approx(2.11e-3)
         assert budget.eps_total == pytest.approx(24.0 * 2.11e-3)
+        f_delta = payoff_bounds(tarf_contract, tarf_params.r).f_delta
+        for method in ("reparam", "riemann-no-norm"):
+            report = end_to_end(method, tarf_params, tarf_contract, FMT, 2e-3)
+            assert report.budget.scale == f_delta
 
     def test_all_zero_components(self):
-        budget = eb.reparam_total(0.0, 0.0, 0.0, 0.0, 24.0)
+        budget = eb.ErrorBudget(0.0, 0.0, 0.0, 0.0, 24.0)
         assert budget.eps_total == 0.0
 
     def test_negative_component_rejected(self):
         with pytest.raises(ValueError):
-            eb.reparam_total(-1e-4, 0.0, 0.0, 0.0, 24.0)
+            eb.ErrorBudget(-1e-4, 0.0, 0.0, 0.0, 24.0)

@@ -12,7 +12,6 @@ from qdp.gaussian_loader import (
     discretized_hamiltonian,
     harmonic_energy,
     linf_loss,
-    loader_gate_resources,
     simulate_ansatz,
     train,
 )
@@ -161,17 +160,3 @@ class TestDigitize:
         with pytest.raises(ValueError):
             digitize(np.zeros(6), 2, RyCnotAnsatz(n=3, L=1), LoaderTarget(n=3))
 
-
-class TestLoaderResources:
-    def test_single_layer_at_L0(self):
-        rc = loader_gate_resources(5, 0, 1e-4)
-        assert rc.t_depth == math.ceil(3 * 5 * math.log2(5 / 1e-4))
-        assert rc.t_count == 5 * math.ceil(3 * math.log2(1e4))
-
-    def test_linear_in_depth(self):
-        base = loader_gate_resources(5, 0, 1e-4)
-        assert loader_gate_resources(5, 6, 1e-4).t_depth == 7 * base.t_depth
-
-    def test_epsilon_guard(self):
-        with pytest.raises(ValueError):
-            loader_gate_resources(5, 6, 0.0)

@@ -104,7 +104,6 @@ class TestCovariance:
     def test_sigma_max_conventions(self):
         cov = np.diag([0.01, 0.09])
         assert sigma_max(cov) == pytest.approx(0.3)
-        assert sigma_max(cov, as_sqrt_eigenvalue=False) == pytest.approx(0.09)
 
 
 class TestReturnsToPrices:

@@ -160,6 +160,17 @@ class TestExactLattice:
         assert abs(mc.estimate - exact.price) <= 3.0 * mc.stderr + 0.05
 
 
+    def test_tarf_misaligned_payment_date_rejected(self, tarf_fixture):
+        doc = dict(tarf_fixture["contract"])
+        doc["payment_times"] = [1.0 / 3.0, 0.7, 1.0]
+        contract = contract_from_dict(doc)
+        params = small_params(sigma=0.4, r=0.01, dt=1.0 / 3.0, n_steps=3, s0=20.0)
+        with pytest.raises(ValueError, match="0.7"):
+            mc_price(params, contract, 100, seed=0)
+        with pytest.raises(ValueError, match="0.7"):
+            exact_lattice_price(params, contract, GridSpec(n=2, w=5.0))
+
+
 class TestReparamDistribution:
     def test_d1_marginal_identical_to_lattice(self):
         params = small_params(sigma=0.4, dt=0.25)
