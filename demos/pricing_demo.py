@@ -4,8 +4,6 @@ Runs the exact lattice valuation, a Monte Carlo estimate, and a
 Black-Scholes sanity check on a European call under the same model.
 """
 
-import numpy as np
-
 from qdp.contracts import AutocallableSpec, EuropeanCallSpec, payoff_bounds
 from qdp.market_model import GBMParams, GridSpec
 from qdp.pricing_engines import black_scholes_call, exact_lattice_price, mc_price

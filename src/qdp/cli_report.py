@@ -74,8 +74,13 @@ def load_benchmark_config(name: str) -> dict:
     return json.loads(text)
 
 
+def _get(doc: dict, key: str, default=None):
+    """``doc[key]``, reading an absent or null key as ``default``."""
+    return default if doc.get(key) is None else doc[key]
+
+
 def _require(doc: dict, key: str, context: str = "config"):
-    if key not in doc:
+    if _get(doc, key) is None:
         raise ConfigError(f"{context} is missing required key '{key}'")
     return doc[key]
 
@@ -122,7 +127,7 @@ def _json_default(obj):
 
 def _cmd_price_mc(doc: dict, digest: str, seed: int) -> dict:
     params, contract = _parse_common(doc)
-    n_paths = int(doc.get("paths", 100_000))
+    n_paths = int(_get(doc, "paths", 100_000))
     result = pe.mc_price(params, contract, n_paths, seed=seed)
     return {
         "estimate": result.estimate,
@@ -163,15 +168,15 @@ def _estimate(doc: dict, method: str | None = None) -> ce.EndToEndReport:
     kwargs = {
         key: cast(doc[key])
         for key, cast in _ESTIMATE_KEYS.items()
-        if doc.get(key) is not None
+        if _get(doc, key) is not None
     }
-    w = (doc.get("grid") or {}).get("w")
+    w = _get(_get(doc, "grid", {}), "w")
     if w is not None:
         kwargs["w"] = float(w)
-    if doc.get("gaussian_fmt") is not None:
+    if _get(doc, "gaussian_fmt") is not None:
         kwargs["gaussian_fmt"] = _fmt_from(doc, "gaussian_fmt")
     return ce.end_to_end(
-        method or doc.get("method", "reparam"),
+        method or _get(doc, "method", "reparam"),
         params,
         contract,
         _fmt_from(doc, "fmt"),
@@ -198,10 +203,10 @@ def _cmd_error_budget(doc: dict, digest: str, seed: int) -> dict:
 
 
 def _cmd_iqae_demo(doc: dict, digest: str, seed: int) -> dict:
-    a = float(doc.get("a", 0.3))
-    alpha = float(doc.get("alpha", 0.32))
-    epsilons = doc.get("epsilons", [1e-2, 3e-3, 1e-3, 3e-4])
-    n_seeds = int(doc.get("n_seeds", 20))
+    a = float(_get(doc, "a", 0.3))
+    alpha = float(_get(doc, "alpha", 0.32))
+    epsilons = _get(doc, "epsilons", [1e-2, 3e-3, 1e-3, 3e-4])
+    n_seeds = int(_get(doc, "n_seeds", 20))
     rows = []
     for eps in epsilons:
         calls = []
@@ -223,10 +228,10 @@ def _cmd_iqae_demo(doc: dict, digest: str, seed: int) -> dict:
 
 
 def _cmd_train_loader(doc: dict, digest: str, seed: int) -> dict:
-    n = int(doc.get("n", 4))
-    depths = doc.get("depths", [2, 4, 6, 8])
-    restarts = int(doc.get("restarts", 4))
-    w = float(doc.get("w", 5.0))
+    n = int(_get(doc, "n", 4))
+    depths = _get(doc, "depths", [2, 4, 6, 8])
+    restarts = int(_get(doc, "restarts", 4))
+    w = float(_get(doc, "w", 5.0))
     results = gl.train_sweep(n, depths, restarts=restarts, seed=seed, w=w)
     rows = [
         {"n": n, "L": L, "l_inf": r.l_inf, "energy": r.energy}
@@ -242,12 +247,12 @@ def _cmd_train_loader(doc: dict, digest: str, seed: int) -> dict:
 
 
 def _cmd_qarith(doc: dict, digest: str, seed: int) -> dict:
-    primitive = doc.get("primitive", "add")
-    n_values = doc.get("n_values", list(range(8, 40, 2)))
-    p = int(doc.get("p", 2))
-    k = int(doc.get("k", 3))
-    M = int(doc.get("M", 32))
-    z = doc.get("z")
+    primitive = _get(doc, "primitive", "add")
+    n_values = _get(doc, "n_values", list(range(8, 40, 2)))
+    p = int(_get(doc, "p", 2))
+    k = int(_get(doc, "k", 3))
+    M = int(_get(doc, "M", 32))
+    z = _get(doc, "z")
     rows = []
     for n in n_values:
         fmt = qa.FixedPointFormat(n=int(n), p=p)
@@ -279,7 +284,7 @@ def _cmd_qarith(doc: dict, digest: str, seed: int) -> dict:
 
 
 def _cmd_table1(doc: dict, digest: str, seed: int) -> dict:
-    methods = doc.get("methods", ["riemann", "riemann-no-norm", "reparam"])
+    methods = _get(doc, "methods", ["riemann", "riemann-no-norm", "reparam"])
     rows = []
     for contract_name in ("autocallable", "tarf"):
         config = load_benchmark_config(contract_name)

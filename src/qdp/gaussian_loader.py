@@ -24,6 +24,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import norm
 
+from .market_model import cell_midpoints
+
 MAX_QUBITS = 12
 
 
@@ -92,10 +94,10 @@ def simulate_ansatz(ansatz: RyCnotAnsatz, params: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LoaderTarget:
-    """Discretized standard normal on the mesh x_i = -w + i * dx.
+    """Discretized standard normal on the cell midpoints x_i of [-w, w].
 
-    Cell masses g(x_i) * dx are not renormalized; the excluded tail mass
-    alpha stays excluded.
+    The cells ``reparam_distribution`` reads; masses g(x_i) * dx are not
+    renormalized, so the excluded tail mass alpha stays excluded.
     """
 
     n: int
@@ -109,15 +111,16 @@ class LoaderTarget:
 
     @property
     def dx(self) -> float:
-        return 2.0 * self.w / 2**self.n
+        return cell_midpoints(-self.w, self.w, self.n)[1]
 
     @property
     def mesh(self) -> np.ndarray:
-        return -self.w + self.dx * np.arange(2**self.n)
+        return cell_midpoints(-self.w, self.w, self.n)[0]
 
     @property
     def masses(self) -> np.ndarray:
-        return norm.pdf(self.mesh) * self.dx
+        mesh, dx = cell_midpoints(-self.w, self.w, self.n)
+        return norm.pdf(mesh) * dx
 
     @property
     def amplitudes(self) -> np.ndarray:

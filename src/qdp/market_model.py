@@ -160,13 +160,22 @@ def cholesky_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def sigma_max(cov: np.ndarray) -> float:
-    """Width scale used for lattice truncation bounds.
+    """Width scale of the error bounds; the lattice uses per-asset boxes.
 
     The square root of the largest covariance eigenvalue, so that
-    w * sigma_max carries log-return units.
+    w * sigma_max carries log-return units and bounds every asset's box.
     """
     lam = float(np.linalg.eigvalsh(np.asarray(cov, dtype=float)).max())
     return float(np.sqrt(lam))
+
+
+def cell_midpoints(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and width of 2^n equal cells on [lo, hi]: the grid convention.
+
+    Array bounds give one row of midpoints per dimension.
+    """
+    dx = (np.asarray(hi, dtype=float) - lo) / 2**n
+    return np.asarray(lo)[..., None] + (np.arange(2**n) + 0.5) * dx[..., None], dx
 
 
 @dataclass(frozen=True)
@@ -178,7 +187,7 @@ class GridSpec:
     n : int
         Qubits per register; 2^n cells per dimension.
     w : float
-        Truncation half-width in units of sigma_max.
+        Truncation half-width in each asset's marginal standard deviations.
     """
 
     n: int
@@ -193,11 +202,11 @@ class GridSpec:
     def bounds(self, params: GBMParams) -> tuple[np.ndarray, np.ndarray]:
         """Per-asset truncation interval [B_l, B_u] for one-step log-returns.
 
-        Centered at the per-asset drift with half-width w * sigma_max, so
-        every marginal standard deviation is covered by at least w sigmas.
+        Asset j's interval is mu_j +- w * sqrt(Sigma_jj), the image of the
+        standard register box [-w, w] under that asset's marginal, so the
+        box's volume times the peak step density is ``riemann_pmax``.
         """
-        cov = build_covariance(params)
-        half = self.w * sigma_max(cov)
+        half = self.w * np.sqrt(np.diag(build_covariance(params)))
         mu = params.step_means()
         return mu - half, mu + half
 
@@ -234,22 +243,17 @@ class Lattice:
 def lattice(grid: GridSpec, params: GBMParams) -> Lattice:
     """Discretize the one-step return distribution on cell midpoints.
 
-    Cell i in dimension j covers [B_l_j + i*dx_j, B_l_j + (i+1)*dx_j) with
-    its mass taken as density(midpoint) * cell volume.  Mass outside the
-    truncation box is dropped, not renormalized.
+    Each asset's box ``grid.bounds`` is cut by ``cell_midpoints``; a cell's
+    mass is density(midpoint) * cell volume.  Mass outside the truncation
+    box is dropped, not renormalized.
     """
     cov = build_covariance(params)
-    b_l, b_u = grid.bounds(params)
-    n_cells = 2**grid.n
-    dx = (b_u - b_l) / n_cells
-    coords = np.stack(
-        [b_l[j] + (np.arange(n_cells) + 0.5) * dx[j] for j in range(params.d)]
-    )
+    coords, dx = cell_midpoints(*grid.bounds(params), grid.n)
     mesh = np.meshgrid(*coords, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
     logpdf = multivariate_normal(mean=params.step_means(), cov=cov).logpdf(points)
     log_volume = float(np.sum(np.log(dx)))
-    pmf = np.exp(np.asarray(logpdf) + log_volume).reshape((n_cells,) * params.d)
+    pmf = np.exp(np.asarray(logpdf) + log_volume).reshape((2**grid.n,) * params.d)
     return Lattice(coords=coords, step_pmf=pmf, dx=dx)
 
 

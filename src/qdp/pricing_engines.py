@@ -35,6 +35,7 @@ from .market_model import (
     GBMParams,
     GridSpec,
     build_covariance,
+    cell_midpoints,
     cholesky_factor,
     lattice,
 )
@@ -267,12 +268,10 @@ class ReparamDistribution:
 def reparam_distribution(grid: GridSpec, params: GBMParams) -> ReparamDistribution:
     """Standard-Gaussian lattice plus the affine map realizing the step law.
 
-    The per-register grid covers [-w, w] with 2^n midpoint cells; masses
-    are the standard-normal density times the cell width (tails dropped).
+    The per-register grid is ``cell_midpoints`` on [-w, w]; masses are the
+    standard-normal density times the cell width (tails dropped).
     """
-    n_cells = 2**grid.n
-    dx = 2.0 * grid.w / n_cells
-    coords = -grid.w + (np.arange(n_cells) + 0.5) * dx
+    coords, dx = cell_midpoints(-grid.w, grid.w, grid.n)
     pmf = norm.pdf(coords) * dx
     cov = build_covariance(params)
     return ReparamDistribution(
@@ -285,22 +284,6 @@ def reparam_distribution(grid: GridSpec, params: GBMParams) -> ReparamDistributi
     )
 
 
-def reparam_marginal_matches_lattice(
-    grid: GridSpec, params: GBMParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Helper for d=1 checks: (lattice pmf, reparam pmf) on matching grids.
-
-    For a single asset the affine map stretches the standard grid by
-    sigma * sqrt(dt) around the drift, which coincides with the pricing
-    lattice, so the two pmfs agree cell by cell.
-    """
-    if params.d != 1:
-        raise ValueError("marginal comparison is defined for d = 1")
-    lat = lattice(grid, params)
-    rp = reparam_distribution(grid, params)
-    return lat.step_pmf, rp.std_pmf
-
-
 __all__ = [
     "PriceEstimate",
     "LatticePrice",
@@ -308,7 +291,6 @@ __all__ = [
     "mc_price",
     "exact_lattice_price",
     "reparam_distribution",
-    "reparam_marginal_matches_lattice",
     "black_scholes_call",
     "MAX_LATTICE_PATHS",
 ]

@@ -7,7 +7,6 @@ from scipy.stats import norm
 from qdp.amplitude_estimation import oracle_call_bound
 from qdp.circuit_estimator import (
     INFEASIBLE_SCALE,
-    EstimateBreakdown,
     autocall_payoff_resources,
     end_to_end,
     importance_feasibility,

@@ -104,6 +104,20 @@ class TestPricingCommands:
         bounds = payoff_bounds(contract_from_dict(cfg["contract"]), cfg["model"]["r"])
         assert bounds.f_min <= doc["estimate"] <= bounds.f_max
 
+    def test_null_paths_reads_as_absent(self, tmp_path, capsys, tarf_config):
+        config = tmp_path / "null_paths.json"
+        config.write_text(json.dumps(dict(tarf_config, paths=None)))
+        code, out, err = run_cli(capsys, "price-mc", "--config", str(config))
+        assert code == 0, err
+        assert json.loads(out)["paths"] == 100_000
+
+    def test_null_required_key_reported(self, tmp_path, capsys, tarf_config):
+        config = tmp_path / "null_target.json"
+        config.write_text(json.dumps(dict(tarf_config, target_error=None)))
+        code, _, err = run_cli(capsys, "estimate-resources", "--config", str(config))
+        assert code == 2
+        assert "target_error" in err
+
     def test_missing_contract_key_reported(self, tmp_path, capsys):
         doc = json.loads(Path(small_pricing_config(tmp_path)).read_text())
         del doc["contract"]["k_put"]
@@ -133,6 +147,26 @@ class TestPricingCommands:
 
 
 class TestEstimatorCommands:
+    @pytest.mark.parametrize(
+        "command, nulls, kept",
+        [
+            ("qarith", ("primitive", "p", "k", "M", "z"), {"n_values": [8, 10]}),
+            ("iqae-demo", ("a", "alpha", "n_seeds"), {"epsilons": [1e-2]}),
+            ("train-loader", ("n", "w"), {"depths": [0], "restarts": 1}),
+        ],
+    )
+    def test_null_optional_keys_read_as_absent(
+        self, tmp_path, capsys, command, nulls, kept
+    ):
+        rows = []
+        for name, doc in (("kept", kept), ("nulls", dict.fromkeys(nulls, None) | kept)):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, command, "--config", str(config))
+            assert code == 0, err
+            rows.append(json.loads(out)["rows"])
+        assert rows[0] == rows[1]
+
     def test_estimate_resources_benchmark(self, tmp_path, capsys):
         import importlib.resources as ir
 

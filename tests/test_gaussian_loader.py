@@ -60,7 +60,7 @@ class TestLoaderTarget:
     def test_mesh_convention(self):
         target = LoaderTarget(n=2, w=4.0)
         assert target.dx == pytest.approx(2.0)
-        assert target.mesh == pytest.approx(np.array([-4.0, -2.0, 0.0, 2.0]))
+        assert target.mesh == pytest.approx(np.array([-3.0, -1.0, 1.0, 3.0]))
 
     def test_tail_mass_small_at_default_width(self):
         target = LoaderTarget(n=5, w=5.0)

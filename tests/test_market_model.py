@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import lognorm, norm
+from scipy.stats import lognorm, multivariate_normal, norm
 
+from qdp.error_budget import riemann_pmax, truncation_error
 from qdp.market_model import (
     GBMParams,
     GridSpec,
@@ -237,6 +238,35 @@ class TestLattice:
         half = 5.0 * 0.4 * math.sqrt(0.05)
         assert b_l == pytest.approx(mu - half)
         assert b_u == pytest.approx(mu + half)
+
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda d: st.tuples(
+                st.sampled_from((3, 4) if d == 3 else (4, 5)),
+                st.lists(
+                    st.floats(min_value=0.05, max_value=0.5), min_size=d, max_size=d
+                ),
+                st.floats(min_value=0.0, max_value=0.5),
+            )
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_per_asset_box_keeps_mass_and_sets_pmax(self, case):
+        n, sigmas, rho_ij = case
+        d, w = len(sigmas), 5.0
+        rho = tuple(
+            tuple(1.0 if i == j else rho_ij for j in range(d)) for i in range(d)
+        )
+        params = make_params(r=0.02, sigmas=tuple(sigmas), rho=rho, dt=0.25)
+        grid = GridSpec(n=n, w=w)
+        mass = float(lattice(grid, params).step_pmf.sum())
+        assert mass >= 1.0 - truncation_error(d, 1, w)
+        # P_max is the peak step density times the volume of the box built.
+        cov = build_covariance(params)
+        b_l, b_u = grid.bounds(params)
+        mu = params.step_means()
+        peak = multivariate_normal(mean=mu, cov=cov).pdf(mu) * np.prod(b_u - b_l)
+        assert riemann_pmax(d, w, cov) == pytest.approx(peak, rel=1e-12)
 
     def test_marginal_pmf_matches_univariate_density(self):
         # Independent assets: the d=2 marginal equals the d=1 lattice pmf.

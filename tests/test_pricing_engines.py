@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from qdp.contracts import (
     AutocallableSpec,
@@ -11,6 +10,7 @@ from qdp.contracts import (
     contract_from_dict,
     payoff_bounds,
 )
+from qdp.gaussian_loader import LoaderTarget
 from qdp.market_model import GBMParams, GridSpec, lattice
 from qdp.pricing_engines import (
     MAX_LATTICE_PATHS,
@@ -18,7 +18,6 @@ from qdp.pricing_engines import (
     exact_lattice_price,
     mc_price,
     reparam_distribution,
-    reparam_marginal_matches_lattice,
 )
 
 
@@ -172,10 +171,16 @@ class TestExactLattice:
 
 
 class TestReparamDistribution:
-    def test_d1_marginal_identical_to_lattice(self):
+    @pytest.mark.parametrize("n, w", [(2, 4.0), (3, 5.0), (5, 5.0), (6, 3.0)])
+    def test_d1_loader_reparam_and_lattice_share_one_grid(self, n, w):
+        # The loader is trained on the cells the reparam pricer reads, and
+        # for one asset the affine map carries them onto the pricing lattice.
         params = small_params(sigma=0.4, dt=0.25)
-        lat_pmf, rp_pmf = reparam_marginal_matches_lattice(GridSpec(n=5, w=5.0), params)
-        assert np.max(np.abs(lat_pmf - rp_pmf)) <= 1e-12
+        loader = LoaderTarget(n, w).masses
+        reparam = reparam_distribution(GridSpec(n, w), params).std_pmf
+        lat = lattice(GridSpec(n, w), params).step_pmf
+        assert np.array_equal(loader, reparam)
+        assert np.max(np.abs(lat - reparam)) <= 1e-12
 
     def test_independent_joint_is_outer_product(self):
         params = GBMParams(
