@@ -6,17 +6,21 @@ then L blocks of [CNOT ladder, Ry layer], for n(L+1) angles in total.
 All amplitudes stay real, so desk-scale statevector simulation works on
 plain float vectors.
 
-Training follows a three-phase schedule: a derivative-free warmup and a
-quasi-Newton refinement both minimizing the energy of a harmonic
-oscillator whose ground state is the target Gaussian (m = 1/(2 sigma^2)),
-then a refinement phase targeting the infinity-norm loss between target
-cell masses and squared amplitudes.  Rotation angles can afterwards be
+Training follows a two-phase schedule: quasi-Newton descent on the
+energy of a harmonic oscillator whose ground state is the target
+Gaussian (m = 1/(2 sigma^2)), then a refinement phase targeting the
+infinity-norm loss between target cell masses and squared amplitudes.
+Both quasi-Newton phases take exact gradients from adjoint
+differentiation: one forward simulation, then one backward sweep that
+undoes the gates on the state and on the loss gradient together
+(Jones & Gacon, arXiv:2009.02823).  Rotation angles can afterwards be
 digitized to a grid of 2 pi / M_digit with a local search, modeling
 discrete fault-tolerant gate synthesis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,29 +51,34 @@ class RyCnotAnsatz:
         return self.n * (self.L + 1)
 
 
+@functools.lru_cache(maxsize=None)
 def _cnot_ladder_permutation(n: int) -> np.ndarray:
     """Basis permutation of the ladder CNOTs, qubit i-1 controlling i.
 
     Gates apply in order i = 1 .. n-1; qubit 0 is the most significant
-    index bit.
+    index bit.  The ladder sends basis index ``i`` to ``perm[i]``.  The
+    array is cached per n and read-only.
     """
     idx = np.arange(2**n)
     for i in range(1, n):
         control = (idx >> (n - i)) & 1
         idx = np.where(control == 1, idx ^ (1 << (n - i - 1)), idx)
+    idx.flags.writeable = False
     return idx
 
 
 def _apply_ry_layer(state: np.ndarray, angles: np.ndarray, n: int) -> np.ndarray:
-    """Apply one Ry rotation per qubit to a real statevector."""
+    """One Ry rotation per qubit on real statevectors along the last axis.
+
+    Each qubit is one 2x2 contraction over its (before, qubit, after)
+    view; a new array is returned and ``state`` is left as it was.
+    """
+    shape = state.shape
     for q in range(n):
         c, s = math.cos(angles[q] / 2.0), math.sin(angles[q] / 2.0)
-        view = state.reshape(2**q, 2, 2 ** (n - q - 1))
-        v0 = view[:, 0, :].copy()
-        v1 = view[:, 1, :].copy()
-        view[:, 0, :] = c * v0 - s * v1
-        view[:, 1, :] = s * v0 + c * v1
-    return state
+        view = state.reshape(-1, 2, 2 ** (n - q - 1))
+        state = np.einsum("ij,ajb->aib", np.array([[c, -s], [s, c]]), view)
+    return state.reshape(shape)
 
 
 def simulate_ansatz(ansatz: RyCnotAnsatz, params: np.ndarray) -> np.ndarray:
@@ -83,13 +92,43 @@ def simulate_ansatz(ansatz: RyCnotAnsatz, params: np.ndarray) -> np.ndarray:
     layers = params.reshape(ansatz.L + 1, n)
     state = np.zeros(2**n)
     state[0] = 1.0
-    perm = _cnot_ladder_permutation(n) if ansatz.L > 0 else None
+    perm = _cnot_ladder_permutation(n)
     state = _apply_ry_layer(state, layers[0], n)
     for block in range(1, ansatz.L + 1):
         permuted = np.empty_like(state)
         permuted[perm] = state
         state = _apply_ry_layer(permuted, layers[block], n)
     return state
+
+
+def _loss_and_gradient(params: np.ndarray, ansatz: RyCnotAnsatz, loss_grad):
+    """A state loss and its exact gradient in every angle, by adjoint sweep.
+
+    ``loss_grad`` maps the statevector psi to (loss, dloss/dpsi).  One
+    forward simulation gives psi; the backward sweep then walks the
+    blocks in reverse with psi and the adjoint g = dloss/dpsi stacked.
+    Right after a layer, d psi / d theta_q is half the generator
+    [[0, -1], [1, 0]] on qubit q applied to psi (the layer's rotations
+    commute), so each angle's gradient is 1/2 sum(g1 psi0 - g0 psi1) over
+    that qubit's amplitude pairs.  Undoing the layer (angles -theta) and
+    the CNOT permutation moves both vectors to the previous block.
+    """
+    n = ansatz.n
+    psi = simulate_ansatz(ansatz, params)
+    layers = np.asarray(params, dtype=float).reshape(ansatz.L + 1, n)
+    loss, g = loss_grad(psi)
+    pair = np.stack([psi, g])
+    perm = _cnot_ladder_permutation(n)
+    grad = np.empty_like(layers)
+    for block in range(ansatz.L, -1, -1):
+        for q in range(n):
+            v = pair.reshape(2, -1, 2, 2 ** (n - q - 1))
+            grad[block, q] = 0.5 * (
+                np.vdot(v[1, :, 1], v[0, :, 0]) - np.vdot(v[1, :, 0], v[0, :, 1])
+            )
+        if block:
+            pair = _apply_ry_layer(pair, -layers[block], n)[:, perm]
+    return loss, grad.ravel()
 
 
 @dataclass(frozen=True)
@@ -131,13 +170,30 @@ class LoaderTarget:
         return 1.0 - float(np.sum(self.masses))
 
 
+def _linf(state: np.ndarray, masses: np.ndarray) -> float:
+    return float(np.max(np.abs(masses - state**2)))
+
+
 def linf_loss(state: np.ndarray, target: LoaderTarget) -> float:
     """Worst-cell deviation max_i |g(x_i) dx - amplitude_i^2|."""
     state = np.asarray(state, dtype=float)
     masses = target.masses
     if state.shape != masses.shape:
         raise ValueError("state and target sizes disagree")
-    return float(np.max(np.abs(masses - state**2)))
+    return _linf(state, masses)
+
+
+def _centered_momenta(mesh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign vector (-1)^j and momenta p_k = (k - N/2) * 2 pi / (N dx).
+
+    fft(signs * psi) / sqrt(N) is the centered transform: entry k holds
+    the amplitude of momentum p_k.
+    """
+    N = mesh.size
+    dx = float(mesh[1] - mesh[0])
+    signs = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
+    p = (np.arange(N) - N / 2) * (2.0 * math.pi / (N * dx))
+    return signs, p
 
 
 def harmonic_energy(
@@ -146,33 +202,39 @@ def harmonic_energy(
     """Energy <H> for H = P^2/(2m) + m (X - x0)^2 / 2 on a uniform mesh.
 
     The position term reads probabilities off the amplitudes directly;
-    the momentum term reads them off the centered Fourier transform,
-    with momenta p_k = (k - N/2) * 2 pi / (N dx).
+    the momentum term reads them off the centered Fourier transform.
     """
     state = np.asarray(state, dtype=float)
     mesh = np.asarray(mesh, dtype=float)
-    N = state.size
-    dx = float(mesh[1] - mesh[0])
     probs = state**2
     e_x = 0.5 * m * float(np.sum(probs * (mesh - x0) ** 2))
 
-    signs = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
-    momentum_amps = np.fft.fft(state * signs) / math.sqrt(N)
-    p = (np.arange(N) - N / 2) * (2.0 * math.pi / (N * dx))
+    signs, p = _centered_momenta(mesh)
+    momentum_amps = np.fft.fft(state * signs) / math.sqrt(state.size)
     e_p = float(np.sum(np.abs(momentum_amps) ** 2 * p**2)) / (2.0 * m)
     return e_x + e_p
+
+
+def _apply_hamiltonian(
+    state: np.ndarray, m: float, x0: float, mesh: np.ndarray
+) -> np.ndarray:
+    """H psi for the oscillator of ``harmonic_energy``, on a real psi.
+
+    The kinetic term goes to momentum space and back through the same
+    centered transform; its real part is kept, as H is real symmetric.
+    """
+    signs, p = _centered_momenta(mesh)
+    kinetic = signs * np.fft.ifft(p**2 / (2.0 * m) * np.fft.fft(signs * state)).real
+    return 0.5 * m * (mesh - x0) ** 2 * state + kinetic
 
 
 def discretized_hamiltonian(m: float, x0: float, mesh: np.ndarray) -> np.ndarray:
     """Dense matrix of the discretized oscillator, for oracle comparisons."""
     mesh = np.asarray(mesh, dtype=float)
-    N = mesh.size
-    dx = float(mesh[1] - mesh[0])
-    signs = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
+    signs, p = _centered_momenta(mesh)
     # Columns: F @ psi equals the centered transform up to per-row phases,
     # which cancel inside F^dagger diag(...) F.
-    F = np.fft.fft(np.diag(signs), axis=0) / math.sqrt(N)
-    p = (np.arange(N) - N / 2) * (2.0 * math.pi / (N * dx))
+    F = np.fft.fft(np.diag(signs), axis=0) / math.sqrt(mesh.size)
     kinetic = F.conj().T @ np.diag(p**2 / (2.0 * m)) @ F
     potential = np.diag(0.5 * m * (mesh - x0) ** 2)
     H = kinetic + potential
@@ -192,17 +254,27 @@ class TrainResult:
 def _refine_linf(
     ansatz: RyCnotAnsatz, params: np.ndarray, target: LoaderTarget
 ) -> np.ndarray:
-    """Infinity-norm refinement: smooth surrogate descent, then direct polish."""
+    """Infinity-norm refinement: smooth surrogate descent, then direct polish.
+
+    The surrogate sum (m - psi^2)^2 has gradient -4 (m - psi^2) psi in psi.
+    """
     masses = target.masses
 
-    def l2(theta):
-        diff = masses - simulate_ansatz(ansatz, theta) ** 2
-        return float(np.sum(diff * diff))
+    def l2(psi):
+        diff = masses - psi**2
+        return float(np.sum(diff * diff)), -4.0 * diff * psi
 
     def linf(theta):
-        return float(np.max(np.abs(masses - simulate_ansatz(ansatz, theta) ** 2)))
+        return _linf(simulate_ansatz(ansatz, theta), masses)
 
-    res = minimize(l2, params, method="BFGS", options={"maxiter": 400, "gtol": 1e-14})
+    res = minimize(
+        _loss_and_gradient,
+        params,
+        args=(ansatz, l2),
+        jac=True,
+        method="BFGS",
+        options={"maxiter": 400, "gtol": 1e-14},
+    )
     best = res.x
     res = minimize(
         linf,
@@ -223,11 +295,11 @@ def train(
 ) -> TrainResult:
     """Train the loader for an n-qubit standard normal at depth L.
 
-    Each restart runs the two-phase energy schedule (derivative-free
-    warmup, then quasi-Newton) followed by infinity-norm refinement; the
-    best restart by final infinity-norm wins.  A ``warm_start`` parameter
-    vector (padded with zero-angle layers if shorter) joins the restart
-    pool.
+    Each restart runs quasi-Newton descent on the oscillator energy, then
+    infinity-norm refinement; both quasi-Newton phases use exact adjoint
+    gradients.  The best restart by final infinity-norm wins.  A
+    ``warm_start`` parameter vector (padded with zero-angle layers if
+    shorter) joins the restart pool.
 
     Deterministic for fixed (n, L, restarts, seed, warm_start).
     """
@@ -236,8 +308,9 @@ def train(
     mesh = target.mesh
     m = 0.5  # 1 / (2 sigma^2) with sigma = 1
 
-    def energy(theta):
-        return harmonic_energy(simulate_ansatz(ansatz, theta), m, 0.0, mesh)
+    def energy(psi):
+        h_psi = _apply_hamiltonian(psi, m, 0.0, mesh)
+        return float(psi @ h_psi), 2.0 * h_psi
 
     rng = np.random.default_rng(seed)
     inits = [rng.uniform(-math.pi, math.pi, ansatz.n_params) for _ in range(restarts)]
@@ -251,17 +324,19 @@ def train(
     best_energy = math.inf
     for theta0 in inits:
         res = minimize(
-            energy, theta0, method="COBYLA", options={"maxiter": 300, "rhobeg": 0.5}
-        )
-        res = minimize(
-            energy, res.x, method="BFGS", options={"maxiter": 300, "gtol": 1e-12}
+            _loss_and_gradient,
+            theta0,
+            args=(ansatz, energy),
+            jac=True,
+            method="BFGS",
+            options={"maxiter": 300, "gtol": 1e-12},
         )
         theta = _refine_linf(ansatz, res.x, target)
         li = linf_loss(simulate_ansatz(ansatz, theta), target)
         if li < best_linf:
             best_linf = li
             best_params = theta
-            best_energy = energy(theta)
+            best_energy = harmonic_energy(simulate_ansatz(ansatz, theta), m, 0.0, mesh)
     return TrainResult(
         best_params=np.asarray(best_params),
         l_inf=best_linf,
@@ -308,8 +383,10 @@ def digitize(
     step = 2.0 * math.pi / M_digit
     theta = np.round(np.asarray(params, dtype=float) / step) * step
 
+    masses = target.masses
+
     def loss(t):
-        return linf_loss(simulate_ansatz(ansatz, t), target)
+        return _linf(simulate_ansatz(ansatz, t), masses)
 
     current = loss(theta)
     for _ in range(50):

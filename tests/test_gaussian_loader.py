@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdp import gaussian_loader as gl
 from qdp.gaussian_loader import (
     LoaderTarget,
     RyCnotAnsatz,
@@ -55,6 +56,101 @@ class TestAnsatz:
         with pytest.raises(ValueError):
             simulate_ansatz(RyCnotAnsatz(n=2, L=1), np.zeros(3))
 
+    @pytest.mark.parametrize("n,L", [(1, 0), (3, 2), (4, 6), (7, 3)])
+    def test_matches_elementwise_reference(self, n, L):
+        # The layer kernel does the textbook update's arithmetic, so the
+        # states (and everything digitize reads off them) agree bit for bit.
+        def reference(params):
+            layers = params.reshape(L + 1, n)
+            state = np.zeros(2**n)
+            state[0] = 1.0
+            for block in range(L + 1):
+                if block:
+                    permuted = np.empty_like(state)
+                    permuted[gl._cnot_ladder_permutation(n)] = state
+                    state = permuted
+                for q in range(n):
+                    c, s = math.cos(layers[block, q] / 2), math.sin(layers[block, q] / 2)
+                    view = state.reshape(2**q, 2, 2 ** (n - q - 1))
+                    v0, v1 = view[:, 0, :].copy(), view[:, 1, :].copy()
+                    view[:, 0, :] = c * v0 - s * v1
+                    view[:, 1, :] = s * v0 + c * v1
+            return state
+
+        rng = np.random.default_rng(n * 10 + L)
+        ansatz = RyCnotAnsatz(n=n, L=L)
+        for _ in range(10):
+            theta = rng.uniform(-math.pi, math.pi, ansatz.n_params)
+            assert np.array_equal(simulate_ansatz(ansatz, theta), reference(theta))
+
+    def test_cnot_permutation_cache_is_read_only(self):
+        perm = gl._cnot_ladder_permutation(3)
+        assert perm is gl._cnot_ladder_permutation(3)
+        with pytest.raises(ValueError):
+            perm[0] = 1
+        assert sorted(perm) == list(range(8))
+
+
+def _energy_loss(target):
+    def loss_grad(psi):
+        h_psi = gl._apply_hamiltonian(psi, 0.5, 0.0, target.mesh)
+        return float(psi @ h_psi), 2.0 * h_psi
+
+    return loss_grad
+
+
+def _l2_loss(target):
+    masses = target.masses
+
+    def loss_grad(psi):
+        diff = masses - psi**2
+        return float(np.sum(diff * diff)), -4.0 * diff * psi
+
+    return loss_grad
+
+
+class TestAdjointGradient:
+    SHAPES = [(1, 0), (3, 2), (4, 6), (5, 6)]
+
+    @pytest.mark.parametrize("n,L", SHAPES)
+    @pytest.mark.parametrize("make_loss", [_energy_loss, _l2_loss])
+    def test_matches_central_differences(self, n, L, make_loss):
+        ansatz = RyCnotAnsatz(n=n, L=L)
+        loss_grad = make_loss(LoaderTarget(n=n))
+        theta = np.random.default_rng(n + L).uniform(-math.pi, math.pi, ansatz.n_params)
+        loss, grad = gl._loss_and_gradient(theta, ansatz, loss_grad)
+        assert loss == loss_grad(simulate_ansatz(ansatz, theta))[0]
+        h = 1e-6
+        fd = np.empty_like(theta)
+        for i in range(theta.size):
+            e = np.zeros_like(theta)
+            e[i] = h
+            up = loss_grad(simulate_ansatz(ansatz, theta + e))[0]
+            down = loss_grad(simulate_ansatz(ansatz, theta - e))[0]
+            fd[i] = (up - down) / (2 * h)
+        scale = float(np.max(np.abs(fd)))
+        assert grad == pytest.approx(fd, rel=1e-6, abs=1e-6 * scale)
+
+    def test_no_entangler_gradient_is_per_qubit(self):
+        # L = 0 has no permutation: the state is a product of single-qubit
+        # rotations, so the overlap with |0...0> is prod cos(theta_q / 2).
+        ansatz = RyCnotAnsatz(n=3, L=0)
+        theta = np.array([0.3, -1.1, 2.0])
+        target = np.zeros(8)
+        target[0] = 1.0
+
+        def overlap(psi):
+            return float(psi @ target), target
+
+        value, grad = gl._loss_and_gradient(theta, ansatz, overlap)
+        cosines = np.cos(theta / 2)
+        assert value == pytest.approx(np.prod(cosines), abs=1e-15)
+        expected = [
+            -0.5 * np.sin(theta[q] / 2) * np.prod(np.delete(cosines, q))
+            for q in range(3)
+        ]
+        assert grad == pytest.approx(expected, abs=1e-15)
+
 
 class TestLoaderTarget:
     def test_mesh_convention(self):
@@ -104,6 +200,18 @@ class TestHarmonicEnergy:
             psi /= np.linalg.norm(psi)
             direct = float(np.real(psi @ H @ psi))
             assert harmonic_energy(psi, 0.5, 0.0, target.mesh) == pytest.approx(direct)
+
+    @pytest.mark.parametrize("n,x0", [(1, 0.0), (3, 0.0), (4, 0.7), (6, -1.5)])
+    def test_hamiltonian_action_matches_matrix(self, n, x0):
+        target = LoaderTarget(n=n, w=5.0)
+        H = discretized_hamiltonian(0.5, x0, target.mesh)
+        psi = np.random.default_rng(n).normal(size=2**n)
+        psi /= np.linalg.norm(psi)
+        h_psi = gl._apply_hamiltonian(psi, 0.5, x0, target.mesh)
+        assert h_psi == pytest.approx(H.real @ psi, rel=0, abs=1e-12)
+        assert float(psi @ h_psi) == pytest.approx(
+            harmonic_energy(psi, 0.5, x0, target.mesh), rel=0, abs=1e-12
+        )
 
     def test_center_shift(self):
         target = LoaderTarget(n=6, w=5.0)
