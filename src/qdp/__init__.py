@@ -4,7 +4,7 @@ Quantum derivative pricing: resource estimation and classical verification.
 Submodules
 ----------
 market_model
-    Correlated GBM in price/return space and the truncated return lattice.
+    Correlated GBM parameters, the grid convention and the return lattice.
 contracts
     Autocallable and TARF term sheets with classical payoff evaluation.
 pricing_engines

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import beta as _beta_dist
 
-from .contracts import PayoffBounds
-
 
 def oracle_call_bound(epsilon: float, alpha: float) -> float:
     """Worst-case Grover-oracle applications for accuracy epsilon, confidence 1-alpha.
@@ -58,19 +56,14 @@ class GroverOracleSim:
     Sampling at power k returns ones with probability
     sin^2((2k+1) theta_a).  ``call_counter`` accumulates k oracle
     applications per amplified shot plus one for the base preparation.
-    An optional depolarizing-style ``noise`` knob (off by default) damps
-    the oscillation toward 1/2 with circuit length.
     """
 
     a: float
-    noise: float = 0.0
     call_counter: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.a <= 1.0:
             raise ValueError("a must be in [0, 1]")
-        if not 0.0 <= self.noise < 1.0:
-            raise ValueError("noise must be in [0, 1)")
 
     @property
     def theta(self) -> float:
@@ -78,11 +71,7 @@ class GroverOracleSim:
 
     def outcome_probability(self, k: int) -> float:
         """P(measure 1) after k Grover applications."""
-        p = math.sin((2 * k + 1) * self.theta) ** 2
-        if self.noise:
-            damp = (1.0 - self.noise) ** (2 * k + 1)
-            p = 0.5 + (p - 0.5) * damp
-        return p
+        return math.sin((2 * k + 1) * self.theta) ** 2
 
     def sample(self, k: int, shots: int, rng: np.random.Generator) -> int:
         """Number of 1-outcomes over ``shots`` measurements at power k."""
@@ -219,31 +208,3 @@ def iqae_estimate(
         oracle_calls=oracle.call_counter - calls_before,
         rounds=rounds,
     )
-
-
-def classical_estimate(
-    a: float, epsilon: float, alpha: float, seed: int = 0
-) -> EstimationResult:
-    """Plain Bernoulli sampling baseline with the same (epsilon, alpha) target."""
-    n = classical_call_bound(epsilon, alpha)
-    rng = np.random.default_rng(seed)
-    ones = int(rng.binomial(n, a))
-    a_hat = ones / n
-    return EstimationResult(
-        a_hat=a_hat,
-        interval=(max(a_hat - epsilon, 0.0), min(a_hat + epsilon, 1.0)),
-        oracle_calls=n,
-        rounds=1,
-    )
-
-
-def rescale_estimate(a_hat: float, bounds: PayoffBounds) -> float:
-    """Undo the payoff normalization: price = f_delta * a_hat + f_min."""
-    return bounds.f_delta * a_hat + bounds.f_min
-
-
-def rescale_estimate_riemann(
-    a_hat: float, bounds: PayoffBounds, p_max: float, T: int
-) -> float:
-    """Riemann-summation rescaling: price = P_max^T (f_delta a_hat + f_min)."""
-    return p_max**T * (bounds.f_delta * a_hat + bounds.f_min)

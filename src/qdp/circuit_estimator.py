@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import error_budget as eb
 from .amplitude_estimation import oracle_call_bound
 from .contracts import AutocallableSpec, TARFSpec, payoff_bounds
@@ -564,7 +562,7 @@ def end_to_end(
     else:
         eps_sum = eb.riemann_sum_error(fmt, w, sig, d, T)
         eps_dens_r = eb.riemann_density_error(
-            eps_sum, eps_exp=1e-7, eps_sq=eb.eps_sqrt(0.0, fmt), eps_arcsin=1e-7
+            eps_sum, fmt, eps_exp0=1e-7, eps_arcsin0=1e-7
         )
         eps_arith = eps_dens_r + eps_f
 
@@ -637,45 +635,3 @@ def end_to_end(
         loading_breakdown=loading_bd,
         payoff_breakdown=payoff_bd,
     )
-
-
-def importance_feasibility(f: np.ndarray, h: np.ndarray) -> dict:
-    """Check whether a proposal pmf h can absorb a density grid f.
-
-    The rotation-free loading trick requires f(x) / (h(x) N) in [0, 1]
-    at every grid point, with N the grid size.  Returns the maximum ratio
-    and the verdict.
-    """
-    f = np.asarray(f, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if f.shape != h.shape:
-        raise ValueError("f and h grids must have the same shape")
-    if np.any(h <= 0):
-        raise ValueError("proposal pmf must be strictly positive")
-    N = f.size
-    max_ratio = float(np.max(f / (h * N)))
-    return {"feasible": max_ratio <= 1.0 + 1e-12, "max_ratio": max_ratio}
-
-
-def importance_feasibility_process(
-    f0: np.ndarray, transitions: list[np.ndarray], h0: np.ndarray, h_steps: list
-) -> dict:
-    """Per-step feasibility conditions for a Markov path distribution.
-
-    Checks f0(x) / (h0(x) N) <= 1 for the initial step and
-    f_t(x | x') / (h_out(x') h_in(x) N) <= 1 for every transition, where
-    (h_out, h_in) are the proposal factors attached to source and target
-    registers of step t.
-    """
-    results = [importance_feasibility(f0, h0)["max_ratio"]]
-    for f_t, (h_out, h_in) in zip(transitions, h_steps):
-        f_t = np.asarray(f_t, dtype=float)
-        denom = np.outer(np.asarray(h_out, float), np.asarray(h_in, float))
-        if f_t.shape != denom.shape:
-            raise ValueError("transition and proposal shapes disagree")
-        if np.any(denom <= 0):
-            raise ValueError("proposal factors must be strictly positive")
-        N = f_t.shape[1]
-        results.append(float(np.max(f_t / (denom * N))))
-    max_ratio = max(results)
-    return {"feasible": max_ratio <= 1.0 + 1e-12, "max_ratio": max_ratio}

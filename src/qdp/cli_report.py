@@ -252,22 +252,22 @@ def _cmd_qarith(doc: dict, digest: str, seed: int) -> dict:
     p = int(_get(doc, "p", 2))
     k = int(_get(doc, "k", 3))
     M = int(_get(doc, "M", 32))
-    z = _get(doc, "z")
+    z = int(_get(doc, "z", 1))
     rows = []
     for n in n_values:
         fmt = qa.FixedPointFormat(n=int(n), p=p)
         if primitive == "add":
             rc = qa.add_resources(fmt)
         elif primitive == "mul":
-            rc = qa.mul_resources(fmt, z=int(z) if z else 1)
+            rc = qa.mul_resources(fmt, z=z)
         elif primitive == "sqrt":
             rc = qa.sqrt_resources(fmt)
         elif primitive == "comparator":
             rc = qa.comparator_resources(fmt)
         elif primitive == "exp":
-            rc = qa.exp_resources(fmt, k, M, z=int(z) if z else 1)
+            rc = qa.exp_resources(fmt, k, M, z=z)
         elif primitive == "arcsin_sqrt":
-            rc = qa.arcsin_sqrt_resources(fmt, k, M, z=int(z) if z else 1)
+            rc = qa.arcsin_sqrt_resources(fmt, k, M, z=z)
         else:
             raise ConfigError(f"unknown primitive '{primitive}'")
         rows.append(

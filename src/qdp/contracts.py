@@ -46,11 +46,6 @@ def normalize(f: float, bounds: PayoffBounds) -> float:
     return (f - bounds.f_min) / bounds.f_delta
 
 
-def denormalize(x: float, bounds: PayoffBounds) -> float:
-    """Inverse of :func:`normalize`: f_delta * x + f_min."""
-    return bounds.f_delta * x + bounds.f_min
-
-
 def discount_and_sum(payoffs, r: float) -> float:
     """Present value sum(e^{-r t_i} f_i) of dated payoffs.
 
@@ -126,11 +121,6 @@ class AutocallableSpec:
             raise ValueError("barrier dates must be strictly increasing")
         if self.basket not in ("worst_of", "best_of"):
             raise ValueError("basket must be 'worst_of' or 'best_of'")
-
-    @property
-    def observation_dates(self) -> tuple[float, ...]:
-        """Union of binary payment dates and barrier dates, sorted."""
-        return tuple(sorted({t for _, t, _ in self.binaries} | set(self.barrier_dates)))
 
     @property
     def horizon(self) -> float:

@@ -90,20 +90,6 @@ def discretization_error(
     return beta * (2 * w * sigma_max) ** exponent / (24.0 * 4.0**n)
 
 
-def qubits_for_target(
-    eps_disc: float, beta: float, w: float, sigma_max: float, d: int, T: int
-) -> int:
-    """Total qubits n*d*T so the discretization bound meets eps_disc."""
-    if eps_disc <= 0:
-        raise ValueError("target error must be positive")
-    per_register = 0.5 * (
-        math.log2(beta / 24.0)
-        - math.log2(eps_disc)
-        + (d * T + 2) * math.log2(2 * w * sigma_max)
-    )
-    return d * T * max(math.ceil(per_register), 1)
-
-
 def riemann_pmax(d: int, w: float, cov: np.ndarray | None = None) -> float:
     """Peak of the scaled one-step density under the Riemann normalization.
 
@@ -141,23 +127,6 @@ def riemann_sum_error(
     return ((2 * w * sigma_max + n) / 2.0**frac + 4.0**-frac) * terms * T
 
 
-def riemann_density_error(
-    eps_sum: float,
-    eps_exp: float = 0.0,
-    eps_sq: float = 0.0,
-    eps_arcsin: float = 0.0,
-    eps_sin: float = 0.0,
-) -> float:
-    """Error of the density amplitude after exp, sqrt, arcsin, and sin stages.
-
-    eps_sin + eps_arcsin + arcsin(1/2) - arcsin(1/2 - (eps_sq + sqrt(eps_exp + eps_sum))).
-    """
-    inner = eps_sq + math.sqrt(eps_exp + eps_sum)
-    if inner > 0.5:
-        raise ValueError("intermediate error too large for the arcsine bound")
-    return eps_sin + eps_arcsin + math.asin(0.5) - math.asin(0.5 - inner)
-
-
 def reparam_arith_error(
     w: float, d: int, T: int, eps_dens: float, eps_f: float
 ) -> float:
@@ -175,12 +144,12 @@ def reparam_arith_error(
 
 def eps_add(fmt: FixedPointFormat) -> float:
     """Roundoff of one fixed-point addition: one unit in the last place."""
-    return 2.0 ** -(fmt.n - fmt.p)
+    return fmt.resolution
 
 
 def eps_mul_roundoff(fmt: FixedPointFormat) -> float:
     """Roundoff of one fixed-point multiplication: n truncated partials."""
-    return fmt.n * 2.0 ** -(fmt.n - fmt.p)
+    return fmt.n * fmt.resolution
 
 
 def eps_mul(b: float, eps_x: float, eps_y: float, fmt: FixedPointFormat) -> float:
@@ -202,10 +171,17 @@ def eps_arcsin(eps_in: float, eps_arcsin0: float) -> float:
     """Error after arcsine, using its worst slope on [0, 1/2]."""
     if eps_in > 0.5:
         raise ValueError("input error too large for the arcsine bound")
-    return math.asin(0.5) - math.asin(0.5 - eps_in) + eps_arcsin0
+    return eps_arcsin0 + math.asin(0.5) - math.asin(0.5 - eps_in)
 
 
-def eps_sin(eps_in: float, eps_sin0: float) -> float:
-    """Error after sine: |sin(a+b) - sin(a)| <= |b| plus polynomial error."""
-    return eps_in + eps_sin0
+def riemann_density_error(
+    eps_sum: float, fmt: FixedPointFormat, eps_exp0: float, eps_arcsin0: float
+) -> float:
+    """Error of the density amplitude after the exp, sqrt and arcsin stages.
 
+    The propagation rules composed on the quadratic-form error eps_sum,
+    with polynomial allocations eps_exp0 and eps_arcsin0.  The closing sine
+    passes its input error through (|sin(a+b) - sin(a)| <= |b|), so the
+    bound ends at the arcsine.
+    """
+    return eps_arcsin(eps_sqrt(eps_exp(eps_sum, eps_exp0), fmt), eps_arcsin0)

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import norm
 
-from .market_model import cell_midpoints
+from .market_model import standard_normal_cells
 
 MAX_QUBITS = 12
 
@@ -149,25 +148,12 @@ class LoaderTarget:
             raise ValueError("w must be positive")
 
     @property
-    def dx(self) -> float:
-        return cell_midpoints(-self.w, self.w, self.n)[1]
-
-    @property
     def mesh(self) -> np.ndarray:
-        return cell_midpoints(-self.w, self.w, self.n)[0]
+        return standard_normal_cells(self.w, self.n)[0]
 
     @property
     def masses(self) -> np.ndarray:
-        mesh, dx = cell_midpoints(-self.w, self.w, self.n)
-        return norm.pdf(mesh) * dx
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.sqrt(self.masses)
-
-    @property
-    def tail_mass(self) -> float:
-        return 1.0 - float(np.sum(self.masses))
+        return standard_normal_cells(self.w, self.n)[1]
 
 
 def _linf(state: np.ndarray, masses: np.ndarray) -> float:

@@ -1,5 +1,5 @@
 """
-Correlated geometric Brownian motion in price and return space.
+Correlated geometric Brownian motion in log-return space.
 
 Holds the market-model parameters shared by every pricer and resource
 estimator: per-asset volatilities, a correlation matrix, a uniform time
@@ -14,7 +14,6 @@ path densities factorize across time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,20 +91,6 @@ class GBMParams:
         sig = np.asarray(self.sigmas)
         return (self.r - 0.5 * sig**2) * self.dt
 
-    def to_json(self) -> str:
-        """Serialize to the documented JSON schema."""
-        return json.dumps(
-            {
-                "r": self.r,
-                "sigmas": list(self.sigmas),
-                "rho": [list(row) for row in self.rho],
-                "dt": self.dt,
-                "d": self.d,
-                "T": self.n_steps,
-                "s0": list(self.s0),
-            }
-        )
-
     @classmethod
     def from_dict(cls, doc: dict) -> "GBMParams":
         """Build from a parsed JSON document (keys r, sigmas, rho, dt, T, s0)."""
@@ -124,10 +109,6 @@ class GBMParams:
         if "d" in doc and int(doc["d"]) != params.d:
             raise ValueError("declared asset count d disagrees with sigmas length")
         return params
-
-    @classmethod
-    def from_json(cls, text: str) -> "GBMParams":
-        return cls.from_dict(json.loads(text))
 
 
 def build_covariance(params: GBMParams) -> np.ndarray:
@@ -176,6 +157,17 @@ def cell_midpoints(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     dx = (np.asarray(hi, dtype=float) - lo) / 2**n
     return np.asarray(lo)[..., None] + (np.arange(2**n) + 0.5) * dx[..., None], dx
+
+
+def standard_normal_cells(w: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints x_i of the 2^n cells on [-w, w] and their masses g(x_i) * dx.
+
+    The one standard-register mass formula: the loader target and the
+    re-parameterized pricer both load it.  Tails are dropped, not
+    renormalized.
+    """
+    coords, dx = cell_midpoints(-w, w, n)
+    return coords, norm.pdf(coords) * dx
 
 
 @dataclass(frozen=True)
@@ -234,12 +226,6 @@ class Lattice:
     def n_cells(self) -> int:
         return self.coords.shape[1]
 
-    def marginal_pmf(self, j: int) -> np.ndarray:
-        """Marginal mass over dimension j (sums the joint over the others)."""
-        axes = tuple(i for i in range(self.step_pmf.ndim) if i != j)
-        return self.step_pmf.sum(axis=axes) if axes else self.step_pmf
-
-
 def lattice(grid: GridSpec, params: GBMParams) -> Lattice:
     """Discretize the one-step return distribution on cell midpoints.
 
@@ -255,58 +241,3 @@ def lattice(grid: GridSpec, params: GBMParams) -> Lattice:
     log_volume = float(np.sum(np.log(dx)))
     pmf = np.exp(np.asarray(logpdf) + log_volume).reshape((2**grid.n,) * params.d)
     return Lattice(coords=coords, step_pmf=pmf, dx=dx)
-
-
-def returns_to_prices(s0, path: np.ndarray) -> np.ndarray:
-    """Prices from cumulative log-returns: S_j^t = S_j^0 exp(sum_{u<=t} R_j^u).
-
-    Parameters
-    ----------
-    s0 : array_like, shape (d,) or scalar
-        Initial prices.
-    path : np.ndarray, shape (T, d) or (T,)
-        Per-step log-returns.
-
-    Returns
-    -------
-    np.ndarray with the shape of ``path``; prices after each step.
-    """
-    path = np.asarray(path, dtype=float)
-    s0 = np.asarray(s0, dtype=float)
-    return s0 * np.exp(np.cumsum(path, axis=0))
-
-
-def transition_density_price(s_t, s_prev, params: GBMParams) -> float:
-    """One-step transition density in price space (multivariate log-normal).
-
-    Evaluates the density of S^t given S^{t-1} under the GBM step: log
-    price ratios are jointly normal, and the log-normal Jacobian divides
-    by each component of s_t.
-    """
-    s_t = np.atleast_1d(np.asarray(s_t, dtype=float))
-    s_prev = np.atleast_1d(np.asarray(s_prev, dtype=float))
-    if np.any(s_t <= 0) or np.any(s_prev <= 0):
-        raise ValueError("prices must be strictly positive")
-    cov = build_covariance(params)
-    log_ratio = np.log(s_t / s_prev)
-    logpdf = multivariate_normal(mean=params.step_means(), cov=cov).logpdf(log_ratio)
-    return float(np.exp(logpdf - np.sum(np.log(s_t))))
-
-
-def joint_density_return(path: np.ndarray, params: GBMParams) -> float:
-    """Joint density of a T x d log-return path (i.i.d. normal steps).
-
-    Accumulates per-step log-densities before exponentiating so that
-    long, low-probability paths do not underflow.
-    """
-    path = np.asarray(path, dtype=float)
-    if path.ndim == 1:
-        path = path[:, None]
-    cov = build_covariance(params)
-    logpdf = multivariate_normal(mean=params.step_means(), cov=cov).logpdf(path)
-    return float(np.exp(np.sum(logpdf)))
-
-
-def tail_mass_outside(w: float) -> float:
-    """Standard-normal mass outside [-w, w], 2 * Phi(-w)."""
-    return float(2.0 * norm.cdf(-w))

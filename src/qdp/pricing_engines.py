@@ -35,9 +35,9 @@ from .market_model import (
     GBMParams,
     GridSpec,
     build_covariance,
-    cell_midpoints,
     cholesky_factor,
     lattice,
+    standard_normal_cells,
 )
 
 _CHUNK_PATHS = 4096
@@ -240,21 +240,6 @@ class ReparamDistribution:
     mu: np.ndarray
     chol: np.ndarray
     d: int
-    n_steps: int
-
-    def step_joint_pmf(self) -> np.ndarray:
-        """Joint pmf of one step's d registers (outer product, exact)."""
-        pmf = self.std_pmf
-        out = pmf
-        for _ in range(self.d - 1):
-            out = np.multiply.outer(out, pmf)
-        return out
-
-    def transformed_coords(self) -> np.ndarray:
-        """Correlated return values mu + L z on the product grid, (n_states, d)."""
-        mesh = np.meshgrid(*[self.std_coords] * self.d, indexing="ij")
-        z = np.stack([m.ravel() for m in mesh], axis=-1)
-        return self.mu + z @ self.chol.T
 
     def sample_returns(self, n_samples: int, seed: int = 0) -> np.ndarray:
         """Sample transformed per-step returns from the lattice pmf, (n, d)."""
@@ -268,11 +253,10 @@ class ReparamDistribution:
 def reparam_distribution(grid: GridSpec, params: GBMParams) -> ReparamDistribution:
     """Standard-Gaussian lattice plus the affine map realizing the step law.
 
-    The per-register grid is ``cell_midpoints`` on [-w, w]; masses are the
-    standard-normal density times the cell width (tails dropped).
+    Every register carries ``standard_normal_cells`` on [-w, w], the
+    grid and masses the loader target uses.
     """
-    coords, dx = cell_midpoints(-grid.w, grid.w, grid.n)
-    pmf = norm.pdf(coords) * dx
+    coords, pmf = standard_normal_cells(grid.w, grid.n)
     cov = build_covariance(params)
     return ReparamDistribution(
         std_coords=coords,
@@ -280,7 +264,6 @@ def reparam_distribution(grid: GridSpec, params: GBMParams) -> ReparamDistributi
         mu=params.step_means(),
         chol=cholesky_factor(cov),
         d=params.d,
-        n_steps=params.n_steps,
     )
 
 

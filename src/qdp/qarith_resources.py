@@ -53,15 +53,6 @@ class ResourceCount:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
-    def scaled(self, repetitions: int) -> "ResourceCount":
-        """Serial repetition: counts and depth multiply, qubits reused."""
-        return ResourceCount(
-            toffoli_count=self.toffoli_count * repetitions,
-            t_count=self.t_count * repetitions,
-            t_depth=self.t_depth * repetitions,
-            logical_qubits=self.logical_qubits,
-        )
-
 
 def from_toffoli(toffoli: int, t_depth: int, logical_qubits: int = 0) -> ResourceCount:
     """ResourceCount for a Toffoli-only component under the T_PER_TOFFOLI model."""
@@ -80,16 +71,6 @@ def serial(*parts: ResourceCount) -> ResourceCount:
         t_count=sum(p.t_count for p in parts),
         t_depth=sum(p.t_depth for p in parts),
         logical_qubits=max((p.logical_qubits for p in parts), default=0),
-    )
-
-
-def parallel(*parts: ResourceCount) -> ResourceCount:
-    """Simultaneous composition: counts add, depths max, qubits add."""
-    return ResourceCount(
-        toffoli_count=sum(p.toffoli_count for p in parts),
-        t_count=sum(p.t_count for p in parts),
-        t_depth=max((p.t_depth for p in parts), default=0),
-        logical_qubits=sum(p.logical_qubits for p in parts),
     )
 
 
@@ -180,11 +161,6 @@ def comparator_resources(fmt: FixedPointFormat) -> ResourceCount:
     """
     depth = comparator_depth(fmt.n)
     return from_toffoli(depth, depth, 2 * fmt.n + 1)
-
-
-def or_resources() -> ResourceCount:
-    """Logical OR of two flag qubits."""
-    return from_toffoli(1, 1, 3)
 
 
 def poly_eval_depth(n: int, z: int, k: int) -> int:

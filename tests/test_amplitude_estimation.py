@@ -6,13 +6,9 @@ import pytest
 from qdp.amplitude_estimation import (
     GroverOracleSim,
     classical_call_bound,
-    classical_estimate,
     iqae_estimate,
     oracle_call_bound,
-    rescale_estimate,
-    rescale_estimate_riemann,
 )
-from qdp.contracts import PayoffBounds
 
 
 class TestOracleCallBound:
@@ -44,8 +40,6 @@ class TestGroverOracleSim:
     def test_validation(self):
         with pytest.raises(ValueError):
             GroverOracleSim(a=1.5)
-        with pytest.raises(ValueError):
-            GroverOracleSim(a=0.5, noise=1.0)
 
     def test_k1_quarter_amplitude_is_deterministic(self):
         # sin^2(3 * pi/6) = 1 exactly for a = 0.25.
@@ -71,13 +65,6 @@ class TestGroverOracleSim:
         assert oracle.call_counter == 10 * (3 + 1)
         oracle.sample(0, 5, rng)
         assert oracle.call_counter == 40 + 5
-
-    def test_noise_damps_toward_half(self):
-        quiet = GroverOracleSim(a=0.25)
-        noisy = GroverOracleSim(a=0.25, noise=0.05)
-        assert abs(noisy.outcome_probability(5) - 0.5) < abs(
-            quiet.outcome_probability(5) - 0.5
-        )
 
 
 class TestIqaeEstimate:
@@ -120,27 +107,3 @@ class TestIqaeEstimate:
             iqae_estimate(GroverOracleSim(a=0.3), 0.0, 0.32)
         with pytest.raises(ValueError):
             iqae_estimate(GroverOracleSim(a=0.3), 1e-3, 0.0)
-
-
-class TestClassicalEstimate:
-    def test_uses_chernoff_sample_count(self):
-        result = classical_estimate(0.3, 1e-2, 0.32, seed=0)
-        assert result.oracle_calls == classical_call_bound(1e-2, 0.32)
-        assert abs(result.a_hat - 0.3) <= 3e-2
-
-
-class TestRescaling:
-    def test_affine_endpoints(self):
-        bounds = PayoffBounds(f_min=-18.0, f_max=6.0)
-        assert rescale_estimate(0.0, bounds) == pytest.approx(-18.0)
-        assert rescale_estimate(1.0, bounds) == pytest.approx(6.0)
-
-    def test_monotone(self):
-        bounds = PayoffBounds(f_min=-18.0, f_max=6.0)
-        assert rescale_estimate(0.6, bounds) > rescale_estimate(0.4, bounds)
-
-    def test_riemann_variant(self):
-        bounds = PayoffBounds(f_min=-1.0, f_max=1.0)
-        assert rescale_estimate_riemann(0.75, bounds, p_max=2.0, T=3) == pytest.approx(
-            8.0 * (2.0 * 0.75 - 1.0)
-        )

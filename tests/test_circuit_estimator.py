@@ -1,16 +1,12 @@
 import math
 
-import numpy as np
 import pytest
-from scipy.stats import norm
 
 from qdp.amplitude_estimation import oracle_call_bound
 from qdp.circuit_estimator import (
     INFEASIBLE_SCALE,
     autocall_payoff_resources,
     end_to_end,
-    importance_feasibility,
-    importance_feasibility_process,
     loader_gate_resources,
     reparam_loading_resources,
     reparam_width,
@@ -251,55 +247,3 @@ class TestEndToEnd:
             sum(r["t_depth"] for r in doc["loading_breakdown"]),
             report.loading.t_depth,
         )
-
-
-class TestImportanceFeasibility:
-    def test_uniform_proposal_absorbs_subunit_density(self):
-        f = np.full(64, 0.8)
-        h = np.full(64, 1.0 / 64)
-        result = importance_feasibility(f, h)
-        assert result["feasible"]
-        assert result["max_ratio"] == pytest.approx(0.8)
-
-    def test_peaked_density_infeasible_under_uniform(self):
-        f = np.full(64, 0.1)
-        f[10] = 63.45
-        h = np.full(64, 1.0 / 64)
-        result = importance_feasibility(f, h)
-        assert not result["feasible"]
-        assert result["max_ratio"] == pytest.approx(63.45)
-
-    def test_matched_gaussian_proposal_is_feasible(self):
-        w, n = 5.0, 64
-        dx = 2 * w / n
-        x = -w + (np.arange(n) + 0.5) * dx
-        f = norm.pdf(x)
-        h = f * dx  # proposal pmf proportional to the density
-        result = importance_feasibility(f, h / h.sum())
-        assert result["feasible"]
-
-    def test_shape_and_positivity_guards(self):
-        with pytest.raises(ValueError):
-            importance_feasibility(np.ones(4), np.ones(5) / 5)
-        with pytest.raises(ValueError):
-            importance_feasibility(np.ones(4), np.zeros(4))
-
-    def test_process_conditions(self):
-        n = 8
-        f0 = np.full(n, 0.5)
-        h0 = np.full(n, 1.0 / n)
-        transition = np.full((n, n), 0.9)
-        h_in = np.full(n, 1.0 / n)
-        h_out = np.ones(n)
-        result = importance_feasibility_process(f0, [transition], h0, [(h_out, h_in)])
-        assert result["feasible"]
-        assert result["max_ratio"] == pytest.approx(0.9)
-
-    def test_process_shape_guard(self):
-        with pytest.raises(ValueError):
-            importance_feasibility_process(
-                np.ones(4) * 0.5,
-                [np.ones((4, 5))],
-                np.ones(4) / 4,
-                [(np.ones(4), np.ones(4) / 4)],
-            )

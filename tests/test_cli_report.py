@@ -209,6 +209,21 @@ class TestEstimatorCommands:
         assert len(rows) > 5
         assert {"n", "toffoli_count", "t_depth"} <= set(rows[0])
 
+    @pytest.mark.parametrize("primitive", ["mul", "exp", "arcsin_sqrt"])
+    def test_qarith_rejects_z_zero(self, tmp_path, capsys, primitive):
+        config = tmp_path / "qarith.json"
+        config.write_text(json.dumps({"primitive": primitive, "z": 0, "n_values": [8]}))
+        code, out, err = run_cli(capsys, "qarith", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "1 <= z <= n" in err
+
+    def test_table1_matches_golden(self, capsys):
+        golden = Path(__file__).parent / "data" / "table1_golden.json"
+        code, out, err = run_cli(capsys, "table1")
+        assert code == 0, err
+        assert out == golden.read_text(encoding="utf-8")
+
     def test_table1_rows(self, capsys):
         code, out, err = run_cli(capsys, "table1")
         assert code == 0, err

@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from qdp import error_budget as eb
 from qdp.circuit_estimator import end_to_end
+from qdp.cli_report import _estimate, load_benchmark_config
 from qdp.contracts import AutocallableSpec, payoff_bounds
 from qdp.market_model import GBMParams, build_covariance
 from qdp.qarith_resources import FixedPointFormat
@@ -43,13 +44,6 @@ class TestDiscretization:
         a = eb.discretization_error(17.0, 5.0, 0.09, 1, 2, 6)
         b = eb.discretization_error(17.0, 5.0, 0.09, 1, 2, 7)
         assert a / b == pytest.approx(4.0)
-
-    def test_qubit_inverse_round_trip(self):
-        d, T, w, sig, beta = 3, 20, 5.0, 0.09, 17.0
-        for n in (20, 30, 40):
-            eps = eb.discretization_error(beta, w, sig, d, T, n)
-            total = eb.qubits_for_target(eps, beta, w, sig, d, T)
-            assert abs(total - n * d * T) <= d * T  # within one qubit per register
 
     def test_midpoint_rule_obeys_bound_and_rate(self):
         # One-dimensional analogue: integrate x^2 over [-1, 1] (beta = 2).
@@ -126,29 +120,42 @@ class TestSumError:
 
 
 class TestDensityError:
+    """The Riemann density bound, composed from the propagation rules."""
+
     def test_zero_components(self):
-        assert eb.riemann_density_error(0.0) == pytest.approx(0.0)
+        # Only the square root's own roundoff is left.
+        roundoff = 2.0 ** (-(FMT.n - FMT.p) / 2.0)
+        assert eb.riemann_density_error(0.0, FMT, 0.0, 0.0) == pytest.approx(
+            math.asin(0.5) - math.asin(0.5 - roundoff)
+        )
 
     def test_monotone_in_each_component(self):
-        base = dict(eps_exp=1e-8, eps_sq=1e-8, eps_arcsin=1e-8, eps_sin=1e-8)
-        reference = eb.riemann_density_error(1e-8, **base)
+        base = dict(eps_sum=1e-8, eps_exp0=1e-8, eps_arcsin0=1e-8)
+        reference = eb.riemann_density_error(fmt=FMT, **base)
         for key in base:
             bumped = dict(base)
             bumped[key] = 1e-6
-            assert eb.riemann_density_error(1e-8, **bumped) > reference
-        assert eb.riemann_density_error(1e-6, **base) > reference
+            assert eb.riemann_density_error(fmt=FMT, **bumped) > reference
 
     def test_term_by_term(self):
-        eps_sum, eps_exp, eps_sq = 1e-6, 1e-7, 1e-5
-        inner = eps_sq + math.sqrt(eps_exp + eps_sum)
-        expected = 2e-7 + math.asin(0.5) - math.asin(0.5 - inner)
-        assert eb.riemann_density_error(
-            eps_sum, eps_exp, eps_sq, 1e-7, 1e-7
-        ) == pytest.approx(expected)
+        eps_sum, eps_exp0, eps_arcsin0 = 1e-6, 1e-7, 1e-7
+        inner = 2.0 ** (-(FMT.n - FMT.p) / 2.0) + math.sqrt(eps_exp0 + eps_sum)
+        expected = eps_arcsin0 + math.asin(0.5) - math.asin(0.5 - inner)
+        assert eb.riemann_density_error(eps_sum, FMT, eps_exp0, eps_arcsin0) == expected
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
-            eb.riemann_density_error(1.0)
+            eb.riemann_density_error(1.0, FMT, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "name, eps_arith",
+        [("autocallable", 0.0013144789666599376), ("tarf", 0.0007610952567416284)],
+    )
+    def test_shipped_configs_pin_eps_arith(self, name, eps_arith):
+        # The table1 riemann rows depend on these values bit for bit.
+        config = load_benchmark_config(name)
+        report = _estimate(config, method="riemann")
+        assert report.budget.eps_arith == eps_arith
 
 
 class TestReparamArith:
@@ -173,7 +180,6 @@ class TestPropagationRules:
         assert eb.eps_sqrt(0.0, FMT) == pytest.approx(2.0 ** (-(FMT.n - FMT.p) / 2.0))
         assert eb.eps_add(FMT) == pytest.approx(2.0 ** -(FMT.n - FMT.p))
         assert eb.eps_exp(1e-6, 1e-7) == pytest.approx(1.1e-6)
-        assert eb.eps_sin(1e-6, 1e-7) == pytest.approx(1.1e-6)
         assert eb.eps_arcsin(0.0, 1e-7) == pytest.approx(1e-7)
 
     def test_arcsin_guard(self):

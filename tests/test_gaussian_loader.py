@@ -155,16 +155,16 @@ class TestAdjointGradient:
 class TestLoaderTarget:
     def test_mesh_convention(self):
         target = LoaderTarget(n=2, w=4.0)
-        assert target.dx == pytest.approx(2.0)
         assert target.mesh == pytest.approx(np.array([-3.0, -1.0, 1.0, 3.0]))
 
     def test_tail_mass_small_at_default_width(self):
         target = LoaderTarget(n=5, w=5.0)
-        assert 0.0 < target.tail_mass < 1e-5
+        assert 0.0 < 1.0 - target.masses.sum() < 1e-5
 
     def test_linf_zero_at_target(self):
         target = LoaderTarget(n=4)
-        assert linf_loss(target.amplitudes, target) == pytest.approx(0.0, abs=1e-15)
+        state = np.sqrt(target.masses)
+        assert linf_loss(state, target) == pytest.approx(0.0, abs=1e-15)
 
     def test_linf_of_ground_state(self):
         target = LoaderTarget(n=3)
@@ -177,7 +177,8 @@ class TestLoaderTarget:
 class TestHarmonicEnergy:
     def test_gaussian_state_near_ground_energy(self):
         target = LoaderTarget(n=7, w=6.0)
-        psi = target.amplitudes / np.linalg.norm(target.amplitudes)
+        psi = np.sqrt(target.masses)
+        psi /= np.linalg.norm(psi)
         energy = harmonic_energy(psi, 0.5, 0.0, target.mesh)
         assert energy == pytest.approx(0.5, abs=1e-3)
 
@@ -215,7 +216,8 @@ class TestHarmonicEnergy:
 
     def test_center_shift(self):
         target = LoaderTarget(n=6, w=5.0)
-        psi = target.amplitudes / np.linalg.norm(target.amplitudes)
+        psi = np.sqrt(target.masses)
+        psi /= np.linalg.norm(psi)
         centered = harmonic_energy(psi, 0.5, 0.0, target.mesh)
         shifted = harmonic_energy(psi, 0.5, 2.0, target.mesh)
         assert shifted > centered

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import lognorm, multivariate_normal, norm
+from scipy.stats import multivariate_normal, norm
 
 from qdp.error_budget import riemann_pmax, truncation_error
 from qdp.market_model import (
@@ -12,12 +12,8 @@ from qdp.market_model import (
     GridSpec,
     build_covariance,
     cholesky_factor,
-    joint_density_return,
     lattice,
-    returns_to_prices,
     sigma_max,
-    tail_mass_outside,
-    transition_density_price,
 )
 
 
@@ -44,17 +40,6 @@ class TestGBMParams:
     def test_step_means(self):
         params = make_params(r=0.05, sigmas=(0.2,), dt=0.5)
         assert params.step_means() == pytest.approx([(0.05 - 0.02) * 0.5])
-
-    def test_json_round_trip(self):
-        params = make_params(
-            r=0.01,
-            sigmas=(0.1, 0.25),
-            rho=((1.0, 0.3), (0.3, 1.0)),
-            dt=0.05,
-            n_steps=20,
-            s0=(1.0, 2.0),
-        )
-        assert GBMParams.from_json(params.to_json()) == params
 
     def test_from_dict_rejects_inconsistent_d(self):
         doc = {
@@ -107,93 +92,29 @@ class TestCovariance:
         assert sigma_max(cov) == pytest.approx(0.3)
 
 
-class TestReturnsToPrices:
-    def test_zero_returns(self):
-        assert returns_to_prices(100.0, np.zeros(2)) == pytest.approx([100.0, 100.0])
-
-    def test_constant_growth(self):
-        path = np.full(2, math.log(1.1))
-        assert returns_to_prices(100.0, path) == pytest.approx([110.0, 121.0])
-
-    def test_matches_stepwise_product(self):
-        rng = np.random.default_rng(5)
-        path = rng.normal(scale=0.1, size=(3, 2))
-        s0 = np.array([50.0, 80.0])
-        prices = returns_to_prices(s0, path)
-        expected = s0.copy()
-        for t in range(3):
-            expected = expected * np.exp(path[t])
-            assert prices[t] == pytest.approx(expected)
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_log_symmetry(self, seed):
-        rng = np.random.default_rng(seed)
-        path = rng.normal(scale=0.2, size=(4,))
-        s0 = 100.0
-        up = returns_to_prices(s0, path)
-        down = returns_to_prices(s0, -path)
-        assert up * down == pytest.approx(np.full(4, s0 * s0))
-
-
 class TestDensities:
-    def test_transition_density_matches_lognormal(self):
-        params = make_params(r=0.03, sigmas=(0.25,), dt=0.5)
-        mu = params.step_means()[0]
-        scale = 0.25 * math.sqrt(0.5)
-        s_prev, s_t = 1.2, 1.3
-        expected = lognorm.pdf(s_t / s_prev, s=scale, scale=math.exp(mu)) / s_prev
-        assert transition_density_price(s_t, s_prev, params) == pytest.approx(expected)
-
-    def test_transition_density_rejects_nonpositive_prices(self):
-        params = make_params()
-        with pytest.raises(ValueError):
-            transition_density_price(0.0, 1.0, params)
+    """The lattice's one-step mass against closed-form return densities."""
 
     def test_uncorrelated_transition_density_factorizes(self):
         pair = make_params(sigmas=(0.2, 0.3), s0=(1.0, 1.0))
-        a = make_params(sigmas=(0.2,))
-        b = make_params(sigmas=(0.3,))
-        joint = transition_density_price([1.1, 0.9], [1.0, 1.0], pair)
-        product = transition_density_price(1.1, 1.0, a) * transition_density_price(
-            0.9, 1.0, b
-        )
-        assert joint == pytest.approx(product)
-
-    def test_joint_density_standard_normal_values(self):
-        # r = sigma^2/2 zeroes the drift; sigma = dt = 1 gives unit variance.
-        params = make_params(r=0.5, sigmas=(1.0,), dt=1.0, n_steps=2)
-        assert joint_density_return(np.zeros(1), params) == pytest.approx(
-            1.0 / math.sqrt(2 * math.pi)
-        )
-        assert joint_density_return(np.zeros(2), params) == pytest.approx(
-            1.0 / (2 * math.pi)
-        )
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_joint_density_permutation_invariant(self, seed):
-        params = make_params(r=0.02, sigmas=(0.3,), dt=0.25, n_steps=5)
-        rng = np.random.default_rng(seed)
-        path = rng.normal(scale=0.1, size=(5,))
-        shuffled = path[rng.permutation(5)]
-        assert joint_density_return(shuffled, params) == pytest.approx(
-            joint_density_return(path, params)
-        )
+        grid = GridSpec(n=4, w=5.0)
+        joint = lattice(grid, pair).step_pmf
+        a = lattice(grid, make_params(sigmas=(0.2,))).step_pmf
+        b = lattice(grid, make_params(sigmas=(0.3,))).step_pmf
+        assert joint == pytest.approx(np.multiply.outer(a, b), rel=1e-12)
 
     def test_joint_density_matches_quadratic_form(self):
         params = make_params(
             sigmas=(0.2, 0.4), rho=((1.0, 0.5), (0.5, 1.0)), s0=(1.0, 1.0)
         )
+        lat = lattice(GridSpec(n=3, w=5.0), params)
         cov = build_covariance(params)
-        x = np.array([0.05, -0.1]) - params.step_means()
-        quad = x @ np.linalg.inv(cov) @ x
-        expected = math.exp(-0.5 * quad) / (
-            2 * math.pi * math.sqrt(np.linalg.det(cov))
-        )
-        assert joint_density_return(np.array([[0.05, -0.1]]), params) == pytest.approx(
-            expected
-        )
+        inv, det = np.linalg.inv(cov), np.linalg.det(cov)
+        volume = float(np.prod(lat.dx))
+        for i, j in [(0, 0), (3, 4), (5, 2), (7, 7)]:
+            x = np.array([lat.coords[0, i], lat.coords[1, j]]) - params.step_means()
+            density = math.exp(-0.5 * x @ inv @ x) / (2 * math.pi * math.sqrt(det))
+            assert lat.step_pmf[i, j] == pytest.approx(density * volume, rel=1e-12)
 
 
 class TestLattice:
@@ -215,7 +136,6 @@ class TestLattice:
         lat = lattice(GridSpec(n=7, w=w), params)
         total = float(lat.step_pmf.sum())
         assert 1.0 - 2.0 * math.exp(-0.5 * w * w) <= total <= 1.0 + 1e-12
-        assert tail_mass_outside(w) <= 2.0 * math.exp(-0.5 * w * w)
 
     def test_joint_pmf_properties_d2(self):
         params = make_params(
@@ -226,7 +146,7 @@ class TestLattice:
         assert np.all(lat.step_pmf >= 0)
         assert lat.step_pmf.sum() <= 1.0 + 1e-12
         for j in range(2):
-            marg = lat.marginal_pmf(j)
+            marg = lat.step_pmf.sum(axis=1 - j)
             assert marg.shape == (16,)
             assert marg.sum() == pytest.approx(lat.step_pmf.sum())
 
@@ -278,5 +198,5 @@ class TestLattice:
         mu = pair.step_means()[0]
         expected = norm.pdf(coords, loc=mu, scale=0.2) * dx
         # The joint marginal loses only the other dimension's tail mass.
-        assert np.max(np.abs(lat2.marginal_pmf(0) - expected)) <= 1e-6
+        assert np.max(np.abs(lat2.step_pmf.sum(axis=1) - expected)) <= 1e-6
         assert sig_max == sigma_max(build_covariance(pair))

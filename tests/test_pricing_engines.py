@@ -187,8 +187,10 @@ class TestReparamDistribution:
             r=0.0, sigmas=(0.2, 0.3), rho=((1.0, 0.0), (0.0, 1.0)),
             dt=1.0, n_steps=1, s0=(1.0, 1.0),
         )
+        # Independent registers load the product law, which is the pricing
+        # lattice's joint pmf on the per-asset boxes.
         rp = reparam_distribution(GridSpec(n=4, w=5.0), params)
-        joint = rp.step_joint_pmf()
+        joint = lattice(GridSpec(n=4, w=5.0), params).step_pmf
         outer = np.multiply.outer(rp.std_pmf, rp.std_pmf)
         assert np.max(np.abs(joint - outer)) <= 1e-15
 
@@ -209,11 +211,12 @@ class TestReparamDistribution:
             dt=1.0, n_steps=1, s0=(1.0, 1.0),
         )
         rp = reparam_distribution(GridSpec(n=3, w=5.0), params)
-        coords = rp.transformed_coords()
-        assert coords.shape == (64, 2)
-        # First grid point maps through mu + L z exactly.
-        z = np.array([rp.std_coords[0], rp.std_coords[0]])
-        assert coords[0] == pytest.approx(rp.mu + rp.chol @ z)
+        returns = rp.sample_returns(500, seed=0)
+        assert returns.shape == (500, 2)
+        # Every sample is mu + L z for a z on the standard register grid.
+        z = np.linalg.solve(rp.chol, (returns - rp.mu).T).T
+        nearest = np.abs(z[..., None] - rp.std_coords).min(axis=-1)
+        assert np.max(nearest) <= 1e-12
 
 
 def test_black_scholes_zero_expiry_intrinsic():

@@ -19,8 +19,6 @@ from qdp.qarith_resources import (
     exp_resources,
     mul_depth,
     mul_resources,
-    or_resources,
-    parallel,
     piecewise_poly_depth,
     piecewise_poly_qubits,
     popcount,
@@ -112,9 +110,6 @@ class TestComparator:
     def test_n2(self):
         assert comparator_depth(2) == 5
 
-    def test_or_gate_depth_one(self):
-        assert or_resources().t_depth == 1
-
     def test_count_convention_equals_depth(self):
         rc = comparator_resources(FixedPointFormat(n=34, p=2))
         assert rc.toffoli_count == rc.t_depth == 15
@@ -184,17 +179,6 @@ class TestComposition:
         b = ResourceCount(toffoli_count=1, t_count=7, t_depth=4, logical_qubits=9)
         s = serial(a, b)
         assert (s.toffoli_count, s.t_count, s.t_depth, s.logical_qubits) == (3, 21, 7, 9)
-
-    def test_parallel_maxes_depth_adds_qubits(self):
-        a = ResourceCount(toffoli_count=2, t_count=14, t_depth=3, logical_qubits=5)
-        b = ResourceCount(toffoli_count=1, t_count=7, t_depth=4, logical_qubits=9)
-        p = parallel(a, b)
-        assert (p.toffoli_count, p.t_count, p.t_depth, p.logical_qubits) == (3, 21, 4, 14)
-
-    def test_scaled_repetition(self):
-        a = ResourceCount(toffoli_count=2, t_count=14, t_depth=3, logical_qubits=5)
-        r = a.scaled(4)
-        assert (r.toffoli_count, r.t_depth, r.logical_qubits) == (8, 12, 5)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
