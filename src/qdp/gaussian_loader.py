@@ -9,13 +9,18 @@ plain float vectors.
 Training follows a two-phase schedule: quasi-Newton descent on the
 energy of a harmonic oscillator whose ground state is the target
 Gaussian (m = 1/(2 sigma^2)), then a refinement phase targeting the
-infinity-norm loss between target cell masses and squared amplitudes.
-Both quasi-Newton phases take exact gradients from adjoint
+infinity-norm loss between target cell masses and squared amplitudes:
+quasi-Newton descent on the squared-error surrogate, then an exact SLSQP
+solve of the minimax problem in its epigraph form (loader training as in
+Zoufal et al., arXiv:1904.00043).  Every derivative comes from adjoint
 differentiation: one forward simulation, then one backward sweep that
-undoes the gates on the state and on the loss gradient together
-(Jones & Gacon, arXiv:2009.02823).  Rotation angles can afterwards be
-digitized to a grid of 2 pi / M_digit with a local search, modeling
-discrete fault-tolerant gate synthesis.
+undoes the gates on the state and on a stack of adjoint vectors together
+(Jones & Gacon, arXiv:2009.02823).  A single adjoint, the loss gradient,
+gives the quasi-Newton gradients; the 2^n unit adjoints give the full
+state Jacobian the minimax constraints need, a sweep that holds
+(2^n + 1) x 2^n floats (134 MB at ``MAX_QUBITS`` = 12).  Rotation angles
+can afterwards be digitized to a grid of 2 pi / M_digit with a local
+search, modeling discrete fault-tolerant gate synthesis.
 """
 
 from __future__ import annotations
@@ -100,34 +105,53 @@ def simulate_ansatz(ansatz: RyCnotAnsatz, params: np.ndarray) -> np.ndarray:
     return state
 
 
+def _backward_sweep(
+    ansatz: RyCnotAnsatz, params: np.ndarray, psi: np.ndarray, adjoints: np.ndarray
+) -> np.ndarray:
+    """Rows ``adjoints @ J`` of the state Jacobian J = d psi / d theta.
+
+    ``psi`` is the ansatz state at ``params`` and ``adjoints`` a (k, 2^n)
+    stack of row vectors.  The sweep walks the blocks in reverse with psi
+    and the adjoints stacked.  Right after a layer, d psi / d theta_q is
+    half the generator [[0, -1], [1, 0]] on qubit q applied to psi (the
+    layer's rotations commute), so one product of the adjoints with these
+    n derivative vectors gives the block's entries.  Undoing the layer
+    (angles -theta) and the CNOT permutation moves the whole stack to the
+    previous block.  The 2^n unit adjoints give J itself, holding
+    (2^n + 1) * 2^n floats at once: 134 MB at ``MAX_QUBITS``.
+    """
+    n = ansatz.n
+    layers = np.asarray(params, dtype=float).reshape(ansatz.L + 1, n)
+    stack = np.vstack([psi, adjoints])
+    perm = _cnot_ladder_permutation(n)
+    rows = np.empty((len(adjoints), ansatz.L + 1, n))
+    half_generator = np.array([[-0.5], [0.5]])  # on (v1, v0): (-v1, v0) / 2
+    derivatives = np.empty((n, psi.size))
+    for block in range(ansatz.L, -1, -1):
+        for q in range(n):
+            v = stack[0].reshape(-1, 2, 2 ** (n - q - 1))
+            derivatives[q] = (v[:, ::-1] * half_generator).ravel()
+        rows[:, block] = stack[1:] @ derivatives.T
+        if block:
+            stack = _apply_ry_layer(stack, -layers[block], n)[:, perm]
+    return rows.reshape(len(adjoints), -1)
+
+
 def _loss_and_gradient(params: np.ndarray, ansatz: RyCnotAnsatz, loss_grad):
     """A state loss and its exact gradient in every angle, by adjoint sweep.
 
     ``loss_grad`` maps the statevector psi to (loss, dloss/dpsi).  One
-    forward simulation gives psi; the backward sweep then walks the
-    blocks in reverse with psi and the adjoint g = dloss/dpsi stacked.
-    Right after a layer, d psi / d theta_q is half the generator
-    [[0, -1], [1, 0]] on qubit q applied to psi (the layer's rotations
-    commute), so each angle's gradient is 1/2 sum(g1 psi0 - g0 psi1) over
-    that qubit's amplitude pairs.  Undoing the layer (angles -theta) and
-    the CNOT permutation moves both vectors to the previous block.
+    forward simulation gives psi; the gradient g J is the backward sweep
+    of the single adjoint g = dloss/dpsi (Jones & Gacon, arXiv:2009.02823).
     """
-    n = ansatz.n
     psi = simulate_ansatz(ansatz, params)
-    layers = np.asarray(params, dtype=float).reshape(ansatz.L + 1, n)
     loss, g = loss_grad(psi)
-    pair = np.stack([psi, g])
-    perm = _cnot_ladder_permutation(n)
-    grad = np.empty_like(layers)
-    for block in range(ansatz.L, -1, -1):
-        for q in range(n):
-            v = pair.reshape(2, -1, 2, 2 ** (n - q - 1))
-            grad[block, q] = 0.5 * (
-                np.vdot(v[1, :, 1], v[0, :, 0]) - np.vdot(v[1, :, 0], v[0, :, 1])
-            )
-        if block:
-            pair = _apply_ry_layer(pair, -layers[block], n)[:, perm]
-    return loss, grad.ravel()
+    return loss, _backward_sweep(ansatz, params, psi, g[None])[0]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -135,7 +159,8 @@ class LoaderTarget:
     """Discretized standard normal on the cell midpoints x_i of [-w, w].
 
     The cells ``reparam_distribution`` reads; masses g(x_i) * dx are not
-    renormalized, so the excluded tail mass alpha stays excluded.
+    renormalized, so the excluded tail mass alpha stays excluded.  Both
+    arrays are built once per target and are read-only.
     """
 
     n: int
@@ -147,13 +172,13 @@ class LoaderTarget:
         if self.w <= 0:
             raise ValueError("w must be positive")
 
-    @property
+    @functools.cached_property
     def mesh(self) -> np.ndarray:
-        return standard_normal_cells(self.w, self.n)[0]
+        return _read_only(standard_normal_cells(self.w, self.n)[0])
 
-    @property
+    @functools.cached_property
     def masses(self) -> np.ndarray:
-        return standard_normal_cells(self.w, self.n)[1]
+        return _read_only(standard_normal_cells(self.w, self.n)[1])
 
 
 def _linf(state: np.ndarray, masses: np.ndarray) -> float:
@@ -234,15 +259,21 @@ class TrainResult:
     best_params: np.ndarray
     l_inf: float
     energy: float
-    restarts_used: int
 
 
 def _refine_linf(
     ansatz: RyCnotAnsatz, params: np.ndarray, target: LoaderTarget
 ) -> np.ndarray:
-    """Infinity-norm refinement: smooth surrogate descent, then direct polish.
+    """Infinity-norm refinement: L2 descent, then the exact minimax problem.
 
-    The surrogate sum (m - psi^2)^2 has gradient -4 (m - psi^2) psi in psi.
+    BFGS on the smooth surrogate sum (m - psi^2)^2 (gradient
+    -4 (m - psi^2) psi in psi) gives the start.  From there SLSQP solves
+    the epigraph form of the infinity norm: minimize t over (theta, t)
+    subject to -t <= m_i - psi_i(theta)^2 <= t for every cell i, starting
+    at t = the start's infinity norm.  The constraint Jacobian
+    -+2 psi_i d psi_i / d theta comes from the backward sweep of the 2^n
+    unit adjoints, once per SLSQP iterate.  The start is kept when the
+    minimax solve does not beat it.
     """
     masses = target.masses
 
@@ -250,25 +281,47 @@ def _refine_linf(
         diff = masses - psi**2
         return float(np.sum(diff * diff)), -4.0 * diff * psi
 
-    def linf(theta):
-        return _linf(simulate_ansatz(ansatz, theta), masses)
-
-    res = minimize(
+    start = minimize(
         _loss_and_gradient,
         params,
         args=(ansatz, l2),
         jac=True,
         method="BFGS",
         options={"maxiter": 400, "gtol": 1e-14},
-    )
-    best = res.x
+    ).x
+    states: dict[bytes, np.ndarray] = {}
+
+    def state(x):
+        key = x.tobytes()
+        if key not in states:
+            states.clear()
+            states[key] = simulate_ansatz(ansatz, x[:-1])
+        return states[key]
+
+    def bands(x):
+        residual = masses - state(x) ** 2
+        return np.concatenate([x[-1] - residual, x[-1] + residual])
+
+    def bands_jacobian(x):
+        psi = state(x)
+        d_residual = -2.0 * psi[:, None] * _backward_sweep(
+            ansatz, x[:-1], psi, np.eye(psi.size)
+        )
+        ones = np.ones((psi.size, 1))
+        return np.block([[-d_residual, ones], [d_residual, ones]])
+
+    unit_t = np.zeros(ansatz.n_params + 1)
+    unit_t[-1] = 1.0
+    start_linf = _linf(simulate_ansatz(ansatz, start), masses)
     res = minimize(
-        linf,
-        best,
-        method="Nelder-Mead",
-        options={"maxiter": 4000, "fatol": 1e-14, "xatol": 1e-10},
+        lambda x: x[-1],
+        np.append(start, start_linf),
+        jac=lambda x: unit_t,
+        method="SLSQP",
+        constraints={"type": "ineq", "fun": bands, "jac": bands_jacobian},
+        options={"maxiter": 200, "ftol": 1e-16},
     )
-    return res.x if linf(res.x) < linf(best) else best
+    return res.x[:-1] if _linf(state(res.x), masses) < start_linf else start
 
 
 def train(
@@ -282,8 +335,10 @@ def train(
     """Train the loader for an n-qubit standard normal at depth L.
 
     Each restart runs quasi-Newton descent on the oscillator energy, then
-    infinity-norm refinement; both quasi-Newton phases use exact adjoint
-    gradients.  The best restart by final infinity-norm wins.  A
+    the infinity-norm refinement of ``_refine_linf``: L2 descent and the
+    exact minimax solve, both on adjoint derivatives.  Each restart's
+    refined state is simulated once for its infinity norm (and, for a new
+    best, its energy).  The best restart by final infinity-norm wins.  A
     ``warm_start`` parameter vector (padded with zero-angle layers if
     shorter) joins the restart pool.
 
@@ -318,16 +373,14 @@ def train(
             options={"maxiter": 300, "gtol": 1e-12},
         )
         theta = _refine_linf(ansatz, res.x, target)
-        li = linf_loss(simulate_ansatz(ansatz, theta), target)
+        psi = simulate_ansatz(ansatz, theta)
+        li = linf_loss(psi, target)
         if li < best_linf:
             best_linf = li
             best_params = theta
-            best_energy = harmonic_energy(simulate_ansatz(ansatz, theta), m, 0.0, mesh)
+            best_energy = harmonic_energy(psi, m, 0.0, mesh)
     return TrainResult(
-        best_params=np.asarray(best_params),
-        l_inf=best_linf,
-        energy=best_energy,
-        restarts_used=len(inits),
+        best_params=np.asarray(best_params), l_inf=best_linf, energy=best_energy
     )
 
 

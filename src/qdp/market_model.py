@@ -214,13 +214,10 @@ class Lattice:
     step_pmf : np.ndarray, shape (2^n,) * d
         Joint probability mass density(x) * cell volume at each midpoint
         tuple; identical for every timestep (i.i.d. steps).
-    dx : np.ndarray, shape (d,)
-        Cell widths per dimension.
     """
 
     coords: np.ndarray
     step_pmf: np.ndarray
-    dx: np.ndarray
 
     @property
     def n_cells(self) -> int:
@@ -240,4 +237,4 @@ def lattice(grid: GridSpec, params: GBMParams) -> Lattice:
     logpdf = multivariate_normal(mean=params.step_means(), cov=cov).logpdf(points)
     log_volume = float(np.sum(np.log(dx)))
     pmf = np.exp(np.asarray(logpdf) + log_volume).reshape((2**grid.n,) * params.d)
-    return Lattice(coords=coords, step_pmf=pmf, dx=dx)
+    return Lattice(coords=coords, step_pmf=pmf)

@@ -11,6 +11,7 @@ from qdp.market_model import (
     GBMParams,
     GridSpec,
     build_covariance,
+    cell_midpoints,
     cholesky_factor,
     lattice,
     sigma_max,
@@ -107,10 +108,11 @@ class TestDensities:
         params = make_params(
             sigmas=(0.2, 0.4), rho=((1.0, 0.5), (0.5, 1.0)), s0=(1.0, 1.0)
         )
-        lat = lattice(GridSpec(n=3, w=5.0), params)
+        grid = GridSpec(n=3, w=5.0)
+        lat = lattice(grid, params)
         cov = build_covariance(params)
         inv, det = np.linalg.inv(cov), np.linalg.det(cov)
-        volume = float(np.prod(lat.dx))
+        volume = float(np.prod(cell_midpoints(*grid.bounds(params), grid.n)[1]))
         for i, j in [(0, 0), (3, 4), (5, 2), (7, 7)]:
             x = np.array([lat.coords[0, i], lat.coords[1, j]]) - params.step_means()
             density = math.exp(-0.5 * x @ inv @ x) / (2 * math.pi * math.sqrt(det))
@@ -120,9 +122,10 @@ class TestDensities:
 class TestLattice:
     def test_two_cell_midpoints(self):
         params = make_params(r=0.5, sigmas=(1.0,), dt=1.0)
-        lat = lattice(GridSpec(n=1, w=5.0), params)
+        grid = GridSpec(n=1, w=5.0)
+        lat = lattice(grid, params)
         assert lat.coords[0] == pytest.approx([-2.5, 2.5])
-        assert lat.dx == pytest.approx([5.0])
+        assert cell_midpoints(*grid.bounds(params), grid.n)[1] == pytest.approx([5.0])
 
     def test_standard_normal_tail_mass(self):
         params = make_params(r=0.5, sigmas=(1.0,), dt=1.0)
@@ -191,9 +194,10 @@ class TestLattice:
     def test_marginal_pmf_matches_univariate_density(self):
         # Independent assets: the d=2 marginal equals the d=1 lattice pmf.
         pair = make_params(sigmas=(0.2, 0.3), s0=(1.0, 1.0))
-        lat2 = lattice(GridSpec(n=4, w=5.0), pair)
+        grid = GridSpec(n=4, w=5.0)
+        lat2 = lattice(grid, pair)
         sig_max = 0.3
-        dx = lat2.dx[0]
+        dx = cell_midpoints(*grid.bounds(pair), grid.n)[1][0]
         coords = lat2.coords[0]
         mu = pair.step_means()[0]
         expected = norm.pdf(coords, loc=mu, scale=0.2) * dx

@@ -3,10 +3,12 @@
 A function, class or method that only its own unit test calls is code the
 tool never runs.  This scan parses ``src/qdp`` and reports each top-level
 function or class whose name no ``ast.Name`` or ``ast.Attribute`` reads,
-and each method or property whose name no ``ast.Attribute`` reads, from
-the package itself (outside the definition's own body), the demos, the
-benchmark workloads or the acceptance tests.  Dunder methods are reached
-by the language and are not checked.
+and each method, property or annotated class field (a dataclass field)
+whose name no ``ast.Attribute`` reads, from the package itself (outside
+the definition's own body), the demos, the benchmark workloads or the
+acceptance tests.  A field that is only ever passed to the constructor is
+stored and never used.  Dunder methods are reached by the language and
+are not checked.
 """
 
 import ast
@@ -29,7 +31,8 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def definitions(source: str) -> dict[str, tuple[int, bool]]:
-    """Top-level functions and classes, and methods: name -> (line, is_method)."""
+    """Top-level functions and classes, and class members (methods and
+    annotated fields): name -> (line, is_member)."""
     found = {}
     for node in ast.parse(source).body:
         if isinstance(node, _DEFS):
@@ -38,6 +41,8 @@ def definitions(source: str) -> dict[str, tuple[int, bool]]:
             for item in node.body:
                 if isinstance(item, _DEFS[:2]) and not item.name.startswith("__"):
                     found.setdefault(item.name, (item.lineno, True))
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    found.setdefault(item.target.id, (item.lineno, True))
     return found
 
 
@@ -61,7 +66,7 @@ def references(source: str) -> tuple[set[str], set[str]]:
 
 
 def unreached(package: dict[str, str], callers: list[str]) -> list[str]:
-    """Definitions no reader reaches.  A method is reached only as an
+    """Definitions no reader reaches.  A class member is reached only as an
     attribute, so a local variable of the same name does not count."""
     names, attrs = set(), set()
     for source in [*package.values(), *callers]:
@@ -71,8 +76,8 @@ def unreached(package: dict[str, str], callers: list[str]) -> list[str]:
     return sorted(
         f"{module}.{name} (line {line})"
         for module, source in package.items()
-        for name, (line, is_method) in definitions(source).items()
-        if name not in attrs and (is_method or name not in names)
+        for name, (line, is_member) in definitions(source).items()
+        if name not in attrs and (is_member or name not in names)
         and name not in ALLOWED
     )
 
@@ -88,12 +93,20 @@ def test_scan_flags_unreached_and_keeps_reached():
             "    def read(self): return self.x\n"
             "    def dead(self): return 0\n"
             "    def shadowed(self): return 0\n"
+            "class Record:\n"
+            "    kept: int\n"
+            "    stored: int\n"
+            "    named: int = 0\n"
         ),
-        "b": "from a import Box\ny = Box().read()\nshadowed = 1\n",
+        "b": (
+            "from a import Box, Record\ny = Box().read()\nshadowed = 1\n"
+            "r = Record(kept=1, stored=2)\nnamed = r.kept\n"
+        ),
     }
     callers = ["import a\na.recursive(3)\n"]
     assert unreached(package, callers) == [
-        "a.dead (line 7)", "a.shadowed (line 8)", "a.test_only (line 3)"
+        "a.dead (line 7)", "a.named (line 12)", "a.shadowed (line 8)",
+        "a.stored (line 11)", "a.test_only (line 3)",
     ]
 
 
