@@ -8,15 +8,22 @@ generated from a counter-based RNG keyed by (seed, chunk index) with a
 fixed chunk size, so serial and parallel runs produce bit-identical
 estimates.
 
-The exact lattice pricer enumerates every path of the truncated midpoint
-lattice and sums pmf * discounted payoff with compensated accumulation.
-Up to the truncation/discretization error this is the quantity an ideal
-amplitude-estimation run measures (after undoing the payoff
-normalization).
+The exact lattice pricer sums pmf * discounted payoff over every path of
+the truncated midpoint lattice.  Up to the truncation/discretization
+error this is the quantity an ideal amplitude-estimation run measures
+(after undoing the payoff normalization).  Autocallables and European
+calls are summed by forward induction on the cumulative-return lattice,
+in work polynomial in T: an autocallable's state after t steps is its
+cumulative return plus one knocked-in flag.  TARFs are summed by
+enumerating the (2^{n d})^T paths, because the running accrual is
+continuous and so has no exact finite state.  Both engines weight every
+path over all T steps of the unnormalized step pmf, whose mass is m:
+mass that stops paying at step t carries m^(T - t).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +49,7 @@ from .market_model import (
 
 _CHUNK_PATHS = 4096
 MAX_LATTICE_PATHS = 2**26
+MAX_INDUCTION_WORK = 2**32
 
 
 @dataclass(frozen=True)
@@ -170,18 +178,54 @@ def black_scholes_call(
 def exact_lattice_price(
     params: GBMParams, contract, grid: GridSpec, chunk_size: int = 1 << 16
 ) -> LatticePrice:
-    """Expected discounted payoff by full enumeration of the return lattice.
+    """Expected discounted payoff summed exactly over the return lattice.
 
-    Sums pmf(path) * payoff(path) over all (2^{n d})^T lattice paths in
-    mixed-radix order with compensated per-chunk accumulation.  The
-    normalized expectation ``a_hat`` (what ideal amplitude estimation
-    measures) is also reported; ``price`` equals
-    f_delta * a_hat + f_min * total_mass.
+    Autocallables (any d, either basket) and European calls are priced
+    by forward induction on the cumulative-return lattice, in work
+    polynomial in T.  TARFs are priced by enumerating all
+    (2^{n d})^T paths in chunks of ``chunk_size``: the running accrual
+    is continuous, so a TARF has no exact finite state to induct on.
+
+    Both engines weight a path by its pmf over all T steps, so mass that
+    stops paying at step t carries m^(T - t), where m is the one-step
+    lattice mass, and ``total_mass`` is m^T.  The normalized expectation
+    ``a_hat`` (what ideal amplitude estimation measures) is
+    (price - f_min * total_mass) / f_delta; it is NaN for a European
+    call, which has no payoff bounds.  ``n_lattice_paths`` is the path
+    count under either engine.
 
     Raises
     ------
     ValueError
-        If the path count exceeds 2^26; reduce n, d, or T.
+        If a TARF lattice has more than 2^26 paths, or if forward
+        induction would take more than 2^32 multiply-adds (that message
+        names n, d and T); reduce n, d, or T.
+    """
+    d, T = params.d, params.n_steps
+    if isinstance(contract, TARFSpec):
+        price, total_mass = _enumerate_lattice(params, contract, grid, chunk_size)
+    else:
+        price, total_mass = _induct_lattice(params, contract, grid)
+    if isinstance(contract, EuropeanCallSpec):
+        a_hat = float("nan")
+    else:
+        bounds = payoff_bounds(contract, params.r)
+        a_hat = (price - bounds.f_min * total_mass) / bounds.f_delta
+    return LatticePrice(
+        price=price,
+        a_hat=a_hat,
+        total_mass=total_mass,
+        n_lattice_paths=2 ** (grid.n * d * T),
+    )
+
+
+def _enumerate_lattice(
+    params: GBMParams, contract, grid: GridSpec, chunk_size: int = 1 << 16
+) -> tuple[float, float]:
+    """(price, total mass) summed over every lattice path.
+
+    Paths are decoded in mixed-radix order and summed with compensated
+    per-chunk accumulation.
     """
     lat = lattice(grid, params)
     d, T = params.d, params.n_steps
@@ -192,9 +236,6 @@ def exact_lattice_price(
             f"lattice has {n_paths} paths (> 2^26); reduce n, d, or T"
         )
 
-    bounds = payoff_bounds(contract, params.r) if not isinstance(
-        contract, EuropeanCallSpec
-    ) else None
     log_pmf = np.log(lat.step_pmf.ravel())
     # Per-state return vectors, shape (n_states, d), mixed-radix over dims.
     state_returns = np.stack(
@@ -202,7 +243,6 @@ def exact_lattice_price(
     ).reshape(n_states, d)
 
     mass_parts: list[float] = []
-    a_parts: list[float] = []
     price_parts: list[float] = []
     radices = n_states ** np.arange(T - 1, -1, -1, dtype=np.int64)
     for start in range(0, n_paths, chunk_size):
@@ -214,16 +254,103 @@ def exact_lattice_price(
         payoffs = _batch_discounted_payoffs(contract, params, returns)
         mass_parts.append(float(np.sum(probs)))
         price_parts.append(float(np.sum(probs * payoffs)))
-        if bounds is not None:
-            normalized = (payoffs - bounds.f_min) / bounds.f_delta
-            a_parts.append(float(np.sum(probs * normalized)))
+    return math.fsum(price_parts), math.fsum(mass_parts)
 
-    total_mass = math.fsum(mass_parts)
-    price = math.fsum(price_parts)
-    a_hat = math.fsum(a_parts) if bounds is not None else float("nan")
-    return LatticePrice(
-        price=price, a_hat=a_hat, total_mass=total_mass, n_lattice_paths=n_paths
+
+def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float, float]:
+    """(price, total mass) of an autocallable or a call by forward induction.
+
+    After t steps asset j's cumulative log-return is
+    t * coords[j, 0] + k * dx_j for k in 0..t(2^n - 1).  The alive mass on
+    that grid, split into (not knocked in, knocked in), is convolved with
+    the step pmf once per step.  On each binary date the mass at or above
+    the strike pays and leaves; on each barrier date the mass below the
+    barrier moves to the knocked-in half; at the horizon the knocked-in
+    mass settles the put.
+    """
+    d, T = params.d, params.n_steps
+    if isinstance(contract, EuropeanCallSpec):
+        if d != 1:
+            raise ValueError("European call evaluation requires a single underlying")
+        steps = T
+    elif isinstance(contract, AutocallableSpec):
+        binary_cols, barrier_cols, final_col = contracts._autocall_columns(
+            _payoff_times(params), contract
+        )
+        steps = int(final_col) + 1
+    else:
+        raise TypeError(f"unsupported contract type {type(contract).__name__}")
+    cells = 2**grid.n
+    # Cumulative states times step cells, summed over steps: a bound on the
+    # convolutions' multiply-adds per row, checked before anything is built.
+    work = sum(((t * (cells - 1) + 1) * cells) ** d for t in range(1, steps + 1))
+    if work > MAX_INDUCTION_WORK:
+        raise ValueError(
+            f"forward induction at n={grid.n}, d={d}, T={T} takes {work:.3g} "
+            "multiply-adds (> 2^32); reduce n, d, or T"
+        )
+
+    lat = lattice(grid, params)
+    pmf = lat.step_pmf
+    m = float(np.sum(pmf))
+    first = lat.coords[:, 0]
+    dx = (lat.coords[:, -1] - first) / (cells - 1)
+
+    def cumulative_returns(t: int) -> list[np.ndarray]:
+        """Per-asset cumulative simple returns after t steps, one grid axis each."""
+        return [
+            np.exp(t * first[j] + np.arange(t * (cells - 1) + 1) * dx[j]).reshape(
+                (-1,) + (1,) * (d - 1 - j)
+            )
+            for j in range(d)
+        ]
+
+    if isinstance(contract, EuropeanCallSpec):
+        mass = np.ones((1, 1))
+        for _ in range(T):
+            mass = _convolve_step(mass, pmf)
+        s_T = params.s0[0] * cumulative_returns(T)[0]
+        payoff = np.maximum(s_T - contract.strike, 0.0)
+        price = math.exp(-params.r * contract.expiry) * float(np.sum(mass[0] * payoff))
+        return price, m**T
+
+    reduce = np.minimum if contract.basket == "worst_of" else np.maximum
+    # Rows: alive and not knocked in, alive and knocked in.
+    mass = np.zeros((2,) + (1,) * d)
+    mass[(0,) * (d + 1)] = 1.0
+    parts: list[float] = []
+    for t in range(1, steps + 1):
+        mass = _convolve_step(mass, pmf)
+        value = functools.reduce(reduce, cumulative_returns(t))
+        later = m ** (T - t)
+        for (strike, date, payout), col in zip(contract.binaries, binary_cols):
+            if col == t - 1:
+                hit = value >= strike
+                paid = float(np.sum(mass[:, hit]))
+                parts.append(math.exp(-params.r * date) * payout * paid * later)
+                mass[:, hit] = 0.0
+        if t - 1 in barrier_cols:
+            below = value < contract.barrier
+            mass[1, below] += mass[0, below]
+            mass[0, below] = 0.0
+    put = value < contract.k_put
+    settled = float(np.sum(mass[1][put] * (value[put] - contract.k_put)))
+    parts.append(
+        math.exp(-params.r * contract.horizon) * contract.notional * settled * later
     )
+    return math.fsum(parts), m**T
+
+
+def _convolve_step(mass: np.ndarray, pmf: np.ndarray) -> np.ndarray:
+    """Convolve each row of ``mass`` (rows, *grid) with the d-dim ``pmf``."""
+    if pmf.ndim == 1:
+        return np.stack([np.convolve(row, pmf) for row in mass])
+    grid = mass.shape[1:]
+    out = np.zeros(mass.shape[:1] + tuple(g + c - 1 for g, c in zip(grid, pmf.shape)))
+    for cell in np.ndindex(pmf.shape):
+        window = tuple(slice(i, i + g) for i, g in zip(cell, grid))
+        out[(slice(None),) + window] += pmf[cell] * mass
+    return out
 
 
 @dataclass(frozen=True)
@@ -276,4 +403,5 @@ __all__ = [
     "reparam_distribution",
     "black_scholes_call",
     "MAX_LATTICE_PATHS",
+    "MAX_INDUCTION_WORK",
 ]

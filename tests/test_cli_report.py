@@ -9,6 +9,7 @@ import pytest
 from qdp import cli_report
 from qdp.cli_report import REFERENCE_RESULTS, load_benchmark_config, main
 from qdp.contracts import contract_from_dict, payoff_bounds
+from qdp.error_budget import truncation_error
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,27 @@ class TestPricingCommands:
         doc = json.loads(out)
         assert doc["lattice_size"] == 8**3
         assert 0.9 <= doc["total_mass"] <= 1.0
+
+    def test_price_exact_shipped_term_sheet_on_one_asset(
+        self, tmp_path, capsys, autocall_config
+    ):
+        # 32^20 paths: far past enumeration, priced by forward induction.
+        model = dict(autocall_config["model"], d=1, sigmas=[0.4], rho=[[1.0]], s0=[1.0])
+        config = tmp_path / "autocallable_d1.json"
+        config.write_text(json.dumps(dict(autocall_config, model=model)))
+        code, out, err = run_cli(capsys, "price-exact", "--config", str(config))
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["lattice_size"] == 32**20
+        assert doc["total_mass"] >= 1.0 - truncation_error(1, 20, 5.0)
+        bounds = payoff_bounds(contract_from_dict(autocall_config["contract"]), 0.01)
+        assert bounds.f_min <= doc["estimate"] <= bounds.f_max
+
+    def test_price_exact_shipped_autocallable_exceeds_work_guard(self, capsys):
+        config = resources.files("qdp.configs").joinpath("autocallable_benchmark.json")
+        code, _, err = run_cli(capsys, "price-exact", "--config", str(config))
+        assert code == 2
+        assert "forward induction at n=5, d=3, T=20" in err
 
     def test_config_required(self, capsys):
         code, _, err = run_cli(capsys, "price-mc")

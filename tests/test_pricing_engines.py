@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdp.contracts import (
     AutocallableSpec,
@@ -14,6 +16,7 @@ from qdp.gaussian_loader import LoaderTarget
 from qdp.market_model import GBMParams, GridSpec, lattice
 from qdp.pricing_engines import (
     MAX_LATTICE_PATHS,
+    _enumerate_lattice,
     black_scholes_call,
     exact_lattice_price,
     mc_price,
@@ -35,6 +38,13 @@ def small_autocall():
         notional=18.0,
         barrier_dates=(1.0 / 3.0, 2.0 / 3.0, 1.0),
     )
+
+
+def fixture_tarf(tarf_fixture, n_dates=3):
+    """The fixture TARF paying on the first ``n_dates`` steps of dt = 1/3."""
+    doc = dict(tarf_fixture["contract"])
+    doc["payment_times"] = [k / 3.0 for k in range(1, n_dates + 1)]
+    return contract_from_dict(doc)
 
 
 def brute_force_lattice_price(params, contract, grid):
@@ -135,29 +145,33 @@ class TestExactLattice:
         allowance = 0.02
         assert abs(mc.estimate - exact.price) <= 3.0 * mc.stderr + allowance
 
-    def test_size_guard(self):
-        params = small_params(n_steps=10)
-        with pytest.raises(ValueError):
-            exact_lattice_price(params, small_autocall(), GridSpec(n=3, w=5.0))
+    def test_size_guard(self, tarf_fixture):
+        # The TARF is enumerated and keeps the path cap; the autocallable is
+        # priced by induction, whose work is polynomial in T.
+        grid = GridSpec(n=3, w=5.0)
+        params = small_params(sigma=0.4, r=0.01, n_steps=10, s0=20.0)
+        with pytest.raises(ValueError, match="2\\^26"):
+            exact_lattice_price(params, fixture_tarf(tarf_fixture, 10), grid)
         assert MAX_LATTICE_PATHS == 2**26
+        result = exact_lattice_price(small_params(n_steps=10), small_autocall(), grid)
+        assert result.n_lattice_paths == 8**10
+        bounds = payoff_bounds(small_autocall(), 0.02)
+        assert bounds.f_min <= result.price <= bounds.f_max
 
-    def test_chunking_does_not_change_result(self):
-        params = small_params()
-        contract = small_autocall()
+    def test_chunking_does_not_change_result(self, tarf_fixture):
+        params = small_params(sigma=0.4, r=0.01, s0=20.0)
+        contract = fixture_tarf(tarf_fixture)
         grid = GridSpec(n=3, w=5.0)
         a = exact_lattice_price(params, contract, grid, chunk_size=64)
         b = exact_lattice_price(params, contract, grid, chunk_size=1 << 16)
         assert a.price == pytest.approx(b.price, abs=1e-15)
 
     def test_tarf_fixture_prices(self, tarf_fixture):
-        doc = dict(tarf_fixture["contract"])
-        doc["payment_times"] = [1.0 / 3.0, 2.0 / 3.0, 1.0]
-        contract = contract_from_dict(doc)
+        contract = fixture_tarf(tarf_fixture)
         params = small_params(sigma=0.4, r=0.01, dt=1.0 / 3.0, n_steps=3, s0=20.0)
         exact = exact_lattice_price(params, contract, GridSpec(n=6, w=5.0))
         mc = mc_price(params, contract, 200_000, seed=5)
         assert abs(mc.estimate - exact.price) <= 3.0 * mc.stderr + 0.05
-
 
     def test_tarf_misaligned_payment_date_rejected(self, tarf_fixture):
         doc = dict(tarf_fixture["contract"])
@@ -168,6 +182,60 @@ class TestExactLattice:
             mc_price(params, contract, 100, seed=0)
         with pytest.raises(ValueError, match="0.7"):
             exact_lattice_price(params, contract, GridSpec(n=2, w=5.0))
+
+
+@st.composite
+def induction_instances(draw):
+    """Small (params, contract, grid) with at most 2^12 lattice paths.
+
+    Autocallables over d in {1, 2, 3} with random binary and barrier date
+    subsets (so the horizon may fall before step T), either basket, and
+    European calls at d = 1.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3 if d == 1 else 2))
+    T = draw(st.integers(1, min(4, 12 // (n * d))))
+    corr = draw(st.floats(-0.3, 0.6))
+    params = GBMParams(
+        r=draw(st.floats(0.0, 0.05)),
+        sigmas=tuple(draw(st.lists(st.floats(0.1, 0.5), min_size=d, max_size=d))),
+        rho=tuple(tuple(1.0 if i == j else corr for j in range(d)) for i in range(d)),
+        dt=draw(st.sampled_from([0.25, 1.0 / 3.0, 0.5])),
+        n_steps=T,
+        s0=(1.0,) * d,
+    )
+    grid = GridSpec(n=n, w=draw(st.floats(2.0, 5.0)))
+    if d == 1 and draw(st.booleans()):
+        call = EuropeanCallSpec(strike=draw(st.floats(0.7, 1.4)), expiry=params.horizon)
+        return params, call, grid
+    times = [float(t) for t in params.dt * np.arange(1, T + 1)]
+    steps = st.sets(st.integers(0, T - 1), min_size=1)
+    k_put = draw(st.floats(0.8, 1.2))
+    contract = AutocallableSpec(
+        binaries=tuple(
+            (draw(st.floats(0.9, 1.3)), times[k], draw(st.floats(0.0, 10.0)))
+            for k in sorted(draw(steps))
+        ),
+        k_put=k_put,
+        barrier=k_put * draw(st.floats(0.5, 1.0)),
+        notional=draw(st.floats(0.5, 20.0)),
+        barrier_dates=tuple(times[k] for k in sorted(draw(steps))),
+        basket=draw(st.sampled_from(["worst_of", "best_of"])),
+    )
+    return params, contract, grid
+
+
+@given(induction_instances())
+@settings(max_examples=60, deadline=None)
+def test_induction_matches_enumeration(instance):
+    params, contract, grid = instance
+    exact = exact_lattice_price(params, contract, grid)
+    price, total_mass = _enumerate_lattice(params, contract, grid)
+    assert abs(exact.price - price) <= 1e-12
+    assert abs(exact.total_mass - total_mass) <= 1e-12
+    if params.d == 1 and isinstance(contract, AutocallableSpec):
+        reference = brute_force_lattice_price(params, contract, grid)
+        assert abs(exact.price - reference) <= 1e-12
 
 
 class TestReparamDistribution:
