@@ -15,6 +15,7 @@ normalization the quantum estimators assume can be checked classically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -272,7 +273,10 @@ def _reduce_basket(values: np.ndarray, basket: str) -> np.ndarray:
     """Collapse a trailing asset axis to worst-of or best-of."""
     if values.ndim == 1:
         return values
-    return values.min(axis=-1) if basket == "worst_of" else values.max(axis=-1)
+    # An elementwise fold over per-asset slices: a reduction along a short
+    # trailing axis costs about 20x more per element.
+    op = np.minimum if basket == "worst_of" else np.maximum
+    return functools.reduce(op, [values[..., j] for j in range(values.shape[-1])])
 
 
 def autocall_payoff(times, cum_returns, spec: AutocallableSpec):
@@ -373,6 +377,45 @@ def payoff_bounds(spec, r: float) -> PayoffBounds:
     raise TypeError(f"no payoff bounds for contract type {type(spec).__name__}")
 
 
+def _autocall_start(batch: int):
+    """Autocallable state before the first column: nothing paid or knocked in."""
+    return np.zeros(batch), np.zeros(batch, dtype=bool), np.zeros(batch, dtype=bool)
+
+
+def _autocall_date(state, value, col: int, columns, spec: AutocallableSpec, r: float):
+    """One observation column of an autocallable, on a batch of paths.
+
+    ``state`` is (discounted payoff, paid, knocked in), ``value`` the
+    basket-reduced cumulative return at column ``col`` and ``columns`` the
+    resolved ``_autocall_columns``.  A binary on this column pays if no
+    earlier one did; a barrier date knocks the put in below the barrier;
+    the horizon settles the put.
+    """
+    payoff, paid, knocked = state
+    binary_cols, barrier_cols, final_col = columns
+    for (strike, t, payout), c in zip(spec.binaries, binary_cols):
+        if c == col:
+            hit = ~paid & (value >= strike)
+            payoff = np.where(hit, math.exp(-r * t) * payout, payoff)
+            paid = paid | hit
+    if col in barrier_cols:
+        knocked = knocked | (value < spec.barrier)
+    if col == final_col:
+        put = ~paid & knocked & (value < spec.k_put)
+        payoff = np.where(
+            put, math.exp(-r * spec.horizon) * spec.notional * (value - spec.k_put), payoff
+        )
+    return payoff, paid, knocked
+
+
+def _autocall_fold(values: np.ndarray, columns, spec: AutocallableSpec, r: float):
+    """Discounted payoffs of basket-reduced paths (batch, m), dates resolved."""
+    state = _autocall_start(values.shape[0])
+    for col in range(int(columns[2]) + 1):
+        state = _autocall_date(state, values[:, col], col, columns, spec, r)
+    return state[0]
+
+
 def autocall_payoff_batch(
     times, cum_returns: np.ndarray, spec: AutocallableSpec, r: float
 ) -> np.ndarray:
@@ -393,24 +436,34 @@ def autocall_payoff_batch(
     values = np.asarray(cum_returns, dtype=float)
     if values.ndim == 3:
         values = _reduce_basket(values, spec.basket)
-    binary_cols, barrier_cols, final_col = _autocall_columns(times, spec)
+    return _autocall_fold(values, _autocall_columns(times, spec), spec, r)
 
-    batch = values.shape[0]
-    payoff = np.zeros(batch)
-    paid = np.zeros(batch, dtype=bool)
-    for (strike, t, payout), col in zip(spec.binaries, binary_cols):
-        hit = ~paid & (values[:, col] >= strike)
-        payoff[hit] = math.exp(-r * t) * payout
-        paid |= hit
 
-    knocked_in = np.any(values[:, barrier_cols] < spec.barrier, axis=1)
-    final_t = spec.horizon
-    final_r = values[:, final_col]
-    put_live = ~paid & knocked_in & (final_r < spec.k_put)
-    payoff[put_live] = (
-        math.exp(-r * final_t) * spec.notional * (final_r[put_live] - spec.k_put)
+def _tarf_start(batch: int):
+    """TARF state before the first date: nothing paid, every path alive."""
+    return np.zeros(batch), np.zeros(batch), np.ones(batch, dtype=bool)
+
+
+def _tarf_date(state, s: np.ndarray, spec: TARFSpec, disc: float):
+    """One payment date of a TARF, on a batch of paths.
+
+    ``state`` is (discounted total paid, running gain, alive), ``s`` the
+    prices on this date and ``disc`` its discount factor.  A price at or
+    above the barrier knocks the path out unpaid; the payment that reaches
+    the cap is clipped to it and ends the path.
+    """
+    paid, running, alive = state
+    alive = alive & (s < spec.barrier)
+    gain = s - spec.forward
+    f = np.where(
+        s > spec.k_upper, gain, np.where(s < spec.k_lower, spec.alpha * gain, 0.0)
     )
-    return payoff
+    total = running + f
+    capped = total >= spec.cap
+    capped &= alive
+    paid = np.where(alive, paid + disc * np.where(capped, spec.cap - running, f), paid)
+    alive &= ~capped
+    return paid, np.where(alive, total, running), alive
 
 
 def tarf_payoff_batch(prices: np.ndarray, spec: TARFSpec, r: float) -> np.ndarray:
@@ -432,25 +485,14 @@ def tarf_payoff_batch(prices: np.ndarray, spec: TARFSpec, r: float) -> np.ndarra
         raise ValueError(
             f"expected {spec.n_dates} price observations, got {prices.shape[1]}"
         )
-    batch = prices.shape[0]
-    total_paid = np.zeros(batch)
-    running = np.zeros(batch)
-    alive = np.ones(batch, dtype=bool)
+    state = _tarf_start(prices.shape[0])
     for i, t in enumerate(spec.payment_times):
-        s = prices[:, i]
-        knocked = alive & (s >= spec.barrier)
-        alive &= ~knocked
-        f = np.where(
-            s > spec.k_upper,
-            s - spec.forward,
-            np.where(s < spec.k_lower, spec.alpha * (s - spec.forward), 0.0),
-        )
-        capped = alive & (running + f >= spec.cap)
-        pay = np.where(capped, spec.cap - running, f)
-        disc = math.exp(-r * t)
-        total_paid[alive] += disc * pay[alive]
-        running[alive & ~capped] += f[alive & ~capped]
-        alive &= ~capped
-        if not alive.any():
+        state = _tarf_date(state, prices[:, i], spec, math.exp(-r * t))
+        if not state[2].any():
             break
-    return total_paid
+    return state[0]
+
+
+def _call_payoff(s_T: np.ndarray, spec: EuropeanCallSpec, r: float) -> np.ndarray:
+    """Discounted European call payoffs on horizon prices ``s_T``."""
+    return math.exp(-r * spec.expiry) * np.maximum(s_T - spec.strike, 0.0)

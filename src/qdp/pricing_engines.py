@@ -4,9 +4,10 @@ Classical pricing oracles: Monte Carlo and exact lattice summation.
 The Monte Carlo engine is the classical baseline: sample d*T i.i.d.
 standard normals per path, correlate them through the Cholesky factor,
 add the drift, exponentiate, and average discounted payoffs.  Paths are
-generated from a counter-based RNG keyed by (seed, chunk index) with a
-fixed chunk size, so serial and parallel runs produce bit-identical
-estimates.
+generated in fixed-size chunks from a counter-based RNG keyed by (seed,
+chunk index), so a (seed, n_paths) pair always gives the same
+bit-identical estimate.  A contract's dates are resolved to step columns
+once per call, and its payoff is a fold of per-date steps over them.
 
 The exact lattice pricer sums pmf * discounted payoff over every path of
 the truncated midpoint lattice.  Up to the truncation/discretization
@@ -16,15 +17,19 @@ calls are summed by forward induction on the cumulative-return lattice,
 in work polynomial in T: an autocallable's state after t steps is its
 cumulative return plus one knocked-in flag.  TARFs are summed by
 enumerating the (2^{n d})^T paths, because the running accrual is
-continuous and so has no exact finite state.  Both engines weight every
-path over all T steps of the unnormalized step pmf, whose mass is m:
-mass that stops paying at step t carries m^(T - t).
+continuous and so has no exact finite state.  The enumeration shares
+prefixes: the lattice is expanded one step at a time, each prefix
+carrying its probability, cumulative return and payoff state, so a
+date's payoff step runs once per prefix rather than once per path.  Both
+engines weight every path over all T steps of the unnormalized step pmf,
+whose mass is m: mass that stops paying at step t carries m^(T - t).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +86,10 @@ def _chunk_normals(seed: int, chunk_index: int, shape: tuple[int, ...]) -> np.nd
     """
     key = (int(seed) % 2**64) * 2**64 + chunk_index
     gen = np.random.Generator(np.random.Philox(key=key))
+    u = gen.random(shape)
     # Keep uniforms strictly inside (0, 1) so the inverse CDF stays finite.
-    u = np.clip(gen.random(shape), 2.0**-60, 1.0 - 2.0**-60)
-    return ndtri(u)
+    np.clip(u, 2.0**-60, 1.0 - 2.0**-60, out=u)
+    return ndtri(u, out=u)
 
 
 def _payoff_times(params: GBMParams) -> np.ndarray:
@@ -91,32 +97,46 @@ def _payoff_times(params: GBMParams) -> np.ndarray:
     return params.dt * np.arange(1, params.n_steps + 1)
 
 
-def _batch_discounted_payoffs(
-    contract, params: GBMParams, returns: np.ndarray
-) -> np.ndarray:
-    """Discounted payoffs for a batch of log-return paths (batch, T, d)."""
+def _resolve_dates(params: GBMParams, contract):
+    """A contract's dates as step columns, resolved once per engine call.
+
+    Returns ``_autocall_columns`` for an autocallable and the payment
+    columns for a TARF; a European call observes only its horizon (None).
+    """
     times = _payoff_times(params)
     if isinstance(contract, AutocallableSpec):
-        cum = np.exp(np.cumsum(returns, axis=1))
-        if params.d == 1:
-            cum = cum[:, :, 0]
-        return contracts.autocall_payoff_batch(times, cum, contract, params.r)
+        return contracts._autocall_columns(times, contract)
     if isinstance(contract, TARFSpec):
         if params.d != 1:
             raise ValueError("TARF evaluation requires a single underlying")
+        if contract.n_dates != params.n_steps:
+            raise ValueError(
+                f"expected {contract.n_dates} price observations, got {params.n_steps}"
+            )
         # Prices are observed at the model steps, so every payment date must
         # be one of them; a misaligned date would be discounted at the wrong time.
-        contracts.date_columns(times, contract.payment_times)
-        prices = np.asarray(params.s0)[0] * np.exp(np.cumsum(returns[:, :, 0], axis=1))
-        return contracts.tarf_payoff_batch(prices, contract, params.r)
+        return contracts.date_columns(times, contract.payment_times)
     if isinstance(contract, EuropeanCallSpec):
         if params.d != 1:
             raise ValueError("European call evaluation requires a single underlying")
-        s_T = np.asarray(params.s0)[0] * np.exp(np.sum(returns[:, :, 0], axis=1))
-        return math.exp(-params.r * contract.expiry) * np.maximum(
-            s_T - contract.strike, 0.0
-        )
+        return None
     raise TypeError(f"unsupported contract type {type(contract).__name__}")
+
+
+def _batch_discounted_payoffs(
+    contract, params: GBMParams, returns: np.ndarray, columns
+) -> np.ndarray:
+    """Discounted payoffs for a batch of log-return paths (batch, T, d)."""
+    if isinstance(contract, AutocallableSpec):
+        cum = np.exp(np.cumsum(returns, axis=1))
+        values = contracts._reduce_basket(cum, contract.basket)
+        return contracts._autocall_fold(values, columns, contract, params.r)
+    s0 = params.s0[0]
+    if isinstance(contract, TARFSpec):
+        prices = s0 * np.exp(np.cumsum(returns[:, :, 0], axis=1))
+        return contracts.tarf_payoff_batch(prices, contract, params.r)
+    s_T = s0 * np.exp(np.sum(returns[:, :, 0], axis=1))
+    return contracts._call_payoff(s_T, contract, params.r)
 
 
 def mc_price(
@@ -129,14 +149,23 @@ def mc_price(
     params : GBMParams
     contract : AutocallableSpec | TARFSpec | EuropeanCallSpec
     n_paths : int
-        Number of simulated paths, at least 2.
+        Number of simulated paths, an integer of at least 2.
     seed : int
-        Stream key; a fixed (seed, n_paths) pair is bit-reproducible
-        regardless of how chunks are scheduled.
+        Stream key; a fixed (seed, n_paths) pair is bit-reproducible.
+
+    Raises
+    ------
+    ValueError
+        If ``n_paths`` is not an integer (a float such as 5000.0 included)
+        or is below 2.
     """
+    if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral):
+        raise ValueError(f"n_paths must be an integer, got {n_paths!r}")
+    n_paths = int(n_paths)
     if n_paths < 2:
-        raise ValueError("need at least 2 paths")
+        raise ValueError(f"need at least 2 paths, got n_paths={n_paths}")
     d, T = params.d, params.n_steps
+    columns = _resolve_dates(params, contract)
     mu = params.step_means()
     L = cholesky_factor(build_covariance(params))
 
@@ -147,7 +176,7 @@ def mc_price(
         m = min(_CHUNK_PATHS, n_paths - c * _CHUNK_PATHS)
         z = _chunk_normals(seed, c, (m, T, d))
         returns = mu + z @ L.T
-        payoffs = _batch_discounted_payoffs(contract, params, returns)
+        payoffs = _batch_discounted_payoffs(contract, params, returns, columns)
         # Fixed reduction order: per-chunk sums accumulate serially.
         total += float(np.sum(payoffs))
         total_sq += float(np.sum(payoffs * payoffs))
@@ -198,8 +227,8 @@ def exact_lattice_price(
     ------
     ValueError
         If a TARF lattice has more than 2^26 paths, or if forward
-        induction would take more than 2^32 multiply-adds (that message
-        names n, d and T); reduce n, d, or T.
+        induction would take more than 2^32 multiply-adds; either message
+        names n, d and T.  Reduce n, d, or T.
     """
     d, T = params.d, params.n_steps
     if isinstance(contract, TARFSpec):
@@ -224,8 +253,13 @@ def _enumerate_lattice(
 ) -> tuple[float, float]:
     """(price, total mass) summed over every lattice path.
 
-    Paths are decoded in mixed-radix order and summed with compensated
-    per-chunk accumulation.
+    Paths are numbered in mixed-radix order, the first step most
+    significant.  The lattice is expanded one step at a time: each prefix
+    carries its probability, its per-asset cumulative log-return and its
+    payoff state, so a date's payoff step runs once per prefix.  The last
+    q steps, n_states**q <= chunk_size, are expanded per chunk of
+    ``chunk_size`` consecutive paths, so no array is sized to the path
+    count; per-chunk sums are added with ``math.fsum``.
     """
     lat = lattice(grid, params)
     d, T = params.d, params.n_steps
@@ -233,28 +267,93 @@ def _enumerate_lattice(
     n_paths = n_states**T
     if n_paths > MAX_LATTICE_PATHS:
         raise ValueError(
-            f"lattice has {n_paths} paths (> 2^26); reduce n, d, or T"
+            f"lattice enumeration at n={grid.n}, d={d}, T={T} has {n_paths} "
+            "paths (> 2^26); reduce n, d, or T"
         )
-
+    state, step, value = _prefix_payoff(params, contract, _resolve_dates(params, contract))
     log_pmf = np.log(lat.step_pmf.ravel())
     # Per-state return vectors, shape (n_states, d), mixed-radix over dims.
     state_returns = np.stack(
         np.meshgrid(*[lat.coords[j] for j in range(d)], indexing="ij"), axis=-1
     ).reshape(n_states, d)
 
+    def grow(prefixes, t: int, first: int, lo: int, hi: int):
+        """Extend prefixes numbered ``first``, ... by step t to prefixes lo..hi-1.
+
+        A probability is a product of exponentials of log-pmf sums over
+        blocks of 8 steps.  A longer sum would put one rounding per step
+        into the exponent: at n=1, T=16 that cost 1.5e-14 of the mass.
+        """
+        prob, logp, cum, state = prefixes
+        take = slice(lo - first * n_states, hi - first * n_states)
+        prob = np.repeat(prob, n_states)[take]
+        logp = (logp[:, None] + log_pmf).reshape(-1)[take]
+        if (t + 1) % 8 == 0:
+            prob, logp = prob * np.exp(logp), np.zeros_like(logp)
+        cum = (cum[:, None, :] + state_returns).reshape(-1, d)[take]
+        state = tuple(np.repeat(a, n_states)[take] for a in state)
+        return prob, logp, cum, step(state, cum, t)
+
+    q = 1
+    while q < T and n_states ** (q + 1) <= chunk_size:
+        q += 1
+    prefixes = (np.ones(1), np.zeros(1), np.zeros((1, d)), state)
+    for t in range(T - q):
+        prefixes = grow(prefixes, t, 0, 0, n_states ** (t + 1))
+
     mass_parts: list[float] = []
     price_parts: list[float] = []
-    radices = n_states ** np.arange(T - 1, -1, -1, dtype=np.int64)
-    for start in range(0, n_paths, chunk_size):
-        idx = np.arange(start, min(start + chunk_size, n_paths), dtype=np.int64)
-        # Decode the path index into T per-step state indices.
-        states = (idx[:, None] // radices[None, :]) % n_states
-        probs = np.exp(np.sum(log_pmf[states], axis=1))
-        returns = state_returns[states]  # (chunk, T, d)
-        payoffs = _batch_discounted_payoffs(contract, params, returns)
+    for begin in range(0, n_paths, chunk_size):
+        end = min(begin + chunk_size, n_paths)
+        # The top prefixes under this chunk's paths, then its last q steps.
+        first = begin // n_states**q
+        top = slice(first, (end - 1) // n_states**q + 1)
+        prob, logp, cum, state = prefixes
+        chunk = (prob[top], logp[top], cum[top], tuple(a[top] for a in state))
+        for t in range(T - q, T):
+            below = n_states ** (T - 1 - t)
+            lo = begin // below
+            chunk = grow(chunk, t, first, lo, (end - 1) // below + 1)
+            first = lo
+        prob, logp, cum, state = chunk
+        probs = prob * np.exp(logp)
         mass_parts.append(float(np.sum(probs)))
-        price_parts.append(float(np.sum(probs * payoffs)))
+        price_parts.append(float(np.sum(probs * value(state, cum))))
     return math.fsum(price_parts), math.fsum(mass_parts)
+
+
+def _prefix_payoff(params: GBMParams, contract, columns):
+    """A contract's payoff carried along path prefixes: (state, step, value).
+
+    ``state`` is the payoff state of the empty prefix, ``step(state, cum,
+    t)`` observes step t given each prefix's per-asset cumulative
+    log-returns ``cum`` (P, d), and ``value(state, cum)`` is the discounted
+    payoff of complete paths.  A state is a tuple of arrays over prefixes.
+    """
+    r = params.r
+    if isinstance(contract, AutocallableSpec):
+        final_col = int(columns[2])
+
+        def step(state, cum, t):
+            if t > final_col:
+                return state
+            value = contracts._reduce_basket(np.exp(cum), contract.basket)
+            return contracts._autocall_date(state, value, t, columns, contract, r)
+
+        return contracts._autocall_start(1), step, lambda state, cum: state[0]
+    s0 = params.s0[0]
+    if isinstance(contract, TARFSpec):
+        discs = [math.exp(-r * t) for t in contract.payment_times]
+
+        def step(state, cum, t):
+            return contracts._tarf_date(state, s0 * np.exp(cum[:, 0]), contract, discs[t])
+
+        return contracts._tarf_start(1), step, lambda state, cum: state[0]
+    return (
+        (),
+        lambda state, cum, t: state,
+        lambda state, cum: contracts._call_payoff(s0 * np.exp(cum[:, 0]), contract, r),
+    )
 
 
 def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float, float]:
@@ -270,13 +369,10 @@ def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float,
     """
     d, T = params.d, params.n_steps
     if isinstance(contract, EuropeanCallSpec):
-        if d != 1:
-            raise ValueError("European call evaluation requires a single underlying")
+        _resolve_dates(params, contract)
         steps = T
     elif isinstance(contract, AutocallableSpec):
-        binary_cols, barrier_cols, final_col = contracts._autocall_columns(
-            _payoff_times(params), contract
-        )
+        binary_cols, barrier_cols, final_col = _resolve_dates(params, contract)
         steps = int(final_col) + 1
     else:
         raise TypeError(f"unsupported contract type {type(contract).__name__}")

@@ -1,16 +1,24 @@
+import copy
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdp.cli_report import load_benchmark_config
 from qdp.contracts import (
     AutocallableSpec,
     EuropeanCallSpec,
+    TARFSpec,
+    autocall_payoff,
     contract_from_dict,
+    discount_and_sum,
     payoff_bounds,
+    tarf_payoff,
 )
 from qdp.gaussian_loader import LoaderTarget
 from qdp.market_model import GBMParams, GridSpec, lattice
@@ -48,23 +56,27 @@ def fixture_tarf(tarf_fixture, n_dates=3):
 
 
 def brute_force_lattice_price(params, contract, grid):
-    """Independent enumerator: per-path pmf products and payoff evaluation."""
-    from qdp.contracts import autocall_payoff, discount_and_sum
+    """Independent enumerator: per-path pmf products and scalar payoffs.
 
+    Returns (price, total mass) of a one-asset autocallable or TARF.
+    """
     lat = lattice(grid, params)
     coords = lat.coords[0]
     pmf = np.asarray(lat.step_pmf)
     times = params.dt * np.arange(1, params.n_steps + 1)
-    total = 0.0
+    price = mass = 0.0
     for combo in itertools.product(range(len(coords)), repeat=params.n_steps):
         prob = 1.0
         for i in combo:
             prob *= pmf[i]
-        returns = coords[list(combo)]
-        cum = np.exp(np.cumsum(returns))
-        payments = autocall_payoff(times, cum, contract)
-        total += prob * discount_and_sum(payments, params.r)
-    return total
+        cum = np.exp(np.cumsum(coords[list(combo)]))
+        if isinstance(contract, TARFSpec):
+            payments = tarf_payoff(params.s0[0] * cum, contract)
+        else:
+            payments = autocall_payoff(times, cum, contract)
+        price += prob * discount_and_sum(payments, params.r)
+        mass += prob
+    return price, mass
 
 
 class TestMonteCarlo:
@@ -109,6 +121,18 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_price(small_params(), small_autocall(), 1)
 
+    def test_path_count_must_be_an_integer(self, tarf_fixture):
+        params = small_params(sigma=0.4, r=0.01, s0=20.0)
+        contract = fixture_tarf(tarf_fixture)
+        for bad in (5000.0, 5000.5, "5000", True):
+            with pytest.raises(ValueError, match="n_paths"):
+                mc_price(params, contract, bad)
+        reference = mc_price(params, contract, 5000)
+        for n in (np.int64(5000), np.int32(5000), np.uint16(5000)):
+            result = mc_price(params, contract, n)
+            assert (result.estimate, result.stderr) == (reference.estimate, reference.stderr)
+            assert type(result.n_paths) is int
+
 
 class TestExactLattice:
     def test_matches_independent_enumerator(self):
@@ -116,7 +140,7 @@ class TestExactLattice:
         contract = small_autocall()
         grid = GridSpec(n=3, w=5.0)
         result = exact_lattice_price(params, contract, grid)
-        reference = brute_force_lattice_price(params, contract, grid)
+        reference, _ = brute_force_lattice_price(params, contract, grid)
         assert result.price == pytest.approx(reference, abs=1e-12)
 
     def test_price_recomposes_from_normalized_expectation(self):
@@ -150,8 +174,10 @@ class TestExactLattice:
         # priced by induction, whose work is polynomial in T.
         grid = GridSpec(n=3, w=5.0)
         params = small_params(sigma=0.4, r=0.01, n_steps=10, s0=20.0)
-        with pytest.raises(ValueError, match="2\\^26"):
+        with pytest.raises(ValueError, match="2\\^26") as excinfo:
             exact_lattice_price(params, fixture_tarf(tarf_fixture, 10), grid)
+        for part in ("n=3", "d=1", "T=10"):
+            assert part in str(excinfo.value)
         assert MAX_LATTICE_PATHS == 2**26
         result = exact_lattice_price(small_params(n_steps=10), small_autocall(), grid)
         assert result.n_lattice_paths == 8**10
@@ -165,6 +191,31 @@ class TestExactLattice:
         a = exact_lattice_price(params, contract, grid, chunk_size=64)
         b = exact_lattice_price(params, contract, grid, chunk_size=1 << 16)
         assert a.price == pytest.approx(b.price, abs=1e-15)
+
+    # Chunks of 100 or 7 paths cut through the 64-path two-step subtrees of
+    # the 8-cell lattice, and 5 is fewer than one step's cells.  Only the
+    # summation order changes, by a few ulps.
+    @pytest.mark.parametrize("chunk_size", [100, 7, 5])
+    def test_chunks_that_split_subtrees(self, tarf_fixture, chunk_size):
+        params = small_params(sigma=0.4, r=0.01, s0=20.0)
+        contract = fixture_tarf(tarf_fixture)
+        grid = GridSpec(n=3, w=5.0)
+        a = exact_lattice_price(params, contract, grid, chunk_size=chunk_size)
+        b = exact_lattice_price(params, contract, grid, chunk_size=1 << 16)
+        assert a.price == pytest.approx(b.price, rel=1e-14)
+        assert a.total_mass == pytest.approx(b.total_mass, rel=1e-14)
+
+    @pytest.mark.parametrize("n_steps, n", [(1, 3), (2, 2), (3, 3), (4, 1), (4, 3)])
+    def test_tarf_matches_independent_enumerator(self, tarf_fixture, n_steps, n):
+        # At sigma 0.6 the 8-cell lattice reaches the knock-out barrier, the
+        # loss band and the cap.
+        params = small_params(sigma=0.6, r=0.03, n_steps=n_steps, s0=20.0)
+        contract = fixture_tarf(tarf_fixture, n_steps)
+        grid = GridSpec(n=n, w=3.0)
+        exact = exact_lattice_price(params, contract, grid)
+        price, mass = brute_force_lattice_price(params, contract, grid)
+        assert abs(exact.price - price) <= 1e-12
+        assert abs(exact.total_mass - mass) <= 1e-12
 
     def test_tarf_fixture_prices(self, tarf_fixture):
         contract = fixture_tarf(tarf_fixture)
@@ -234,8 +285,43 @@ def test_induction_matches_enumeration(instance):
     assert abs(exact.price - price) <= 1e-12
     assert abs(exact.total_mass - total_mass) <= 1e-12
     if params.d == 1 and isinstance(contract, AutocallableSpec):
-        reference = brute_force_lattice_price(params, contract, grid)
+        reference, _ = brute_force_lattice_price(params, contract, grid)
         assert abs(exact.price - reference) <= 1e-12
+
+
+class TestGoldenPrices:
+    """Seeded MC estimates and an exact TARF price, pinned as float.hex."""
+
+    GOLDEN = json.loads(
+        (Path(__file__).parent / "data" / "seeded_prices.json").read_text("utf-8")
+    )
+
+    @staticmethod
+    def build(case):
+        if "config" in case:
+            cfg = load_benchmark_config(case["config"])
+            model, contract = cfg["model"], copy.deepcopy(cfg["contract"])
+            contract.update(case.get("contract_overrides", {}))
+        else:
+            model, contract = case["model"], case["contract"]
+        return GBMParams.from_dict(model), contract_from_dict(contract)
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN["mc"]["cases"], ids=lambda case: case["name"]
+    )
+    def test_mc_estimates(self, case):
+        params, contract = self.build(case)
+        mc = self.GOLDEN["mc"]
+        result = mc_price(params, contract, mc["paths"], seed=mc["seed"])
+        assert result.estimate.hex() == case["estimate"]
+        assert result.stderr.hex() == case["stderr"]
+
+    def test_exact_tarf(self):
+        case = self.GOLDEN["exact_tarf"]
+        params, contract = self.build(case)
+        result = exact_lattice_price(params, contract, GridSpec(**case["grid"]))
+        assert result.price.hex() == case["price"]
+        assert result.total_mass.hex() == case["total_mass"]
 
 
 class TestReparamDistribution:
