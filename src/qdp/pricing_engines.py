@@ -5,9 +5,12 @@ The Monte Carlo engine is the classical baseline: sample d*T i.i.d.
 standard normals per path, correlate them through the Cholesky factor,
 add the drift, exponentiate, and average discounted payoffs.  Paths are
 generated in fixed-size chunks from a counter-based RNG keyed by (seed,
-chunk index), so a (seed, n_paths) pair always gives the same
-bit-identical estimate.  A contract's dates are resolved to step columns
-once per call, and its payoff is a fold of per-date steps over them.
+chunk index).  The chunks run on the calling thread plus one helper
+thread per further CPU the process may use, and each chunk's sums are
+added in chunk order afterwards, so a (seed, n_paths) pair gives the
+same bit-identical estimate at any CPU count.  A contract's dates are
+resolved to step columns once per call, and its payoff is a fold of
+per-date steps over them.
 
 The exact lattice pricer sums pmf * discounted payoff over every path of
 the truncated midpoint lattice.  Up to the truncation/discretization
@@ -30,6 +33,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,23 +131,92 @@ def _resolve_dates(params: GBMParams, contract):
 def _batch_discounted_payoffs(
     contract, params: GBMParams, returns: np.ndarray, columns
 ) -> np.ndarray:
-    """Discounted payoffs for a batch of log-return paths (batch, T, d)."""
+    """Discounted payoffs for a batch of log-return paths (batch, T, d).
+
+    The cumulative sums and exponentials are taken in place, so
+    ``returns`` is overwritten.
+    """
     if isinstance(contract, AutocallableSpec):
-        cum = np.exp(np.cumsum(returns, axis=1))
+        np.cumsum(returns, axis=1, out=returns)
+        cum = np.exp(returns, out=returns)
         values = contracts._reduce_basket(cum, contract.basket)
         return contracts._autocall_fold(values, columns, contract, params.r)
     s0 = params.s0[0]
     if isinstance(contract, TARFSpec):
-        prices = s0 * np.exp(np.cumsum(returns[:, :, 0], axis=1))
+        prices = returns[:, :, 0]
+        np.cumsum(prices, axis=1, out=prices)
+        np.exp(prices, out=prices)
+        prices *= s0
         return contracts.tarf_payoff_batch(prices, contract, params.r)
     s_T = s0 * np.exp(np.sum(returns[:, :, 0], axis=1))
     return contracts._call_payoff(s_T, contract, params.r)
+
+
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chunks(fn, n_chunks: int) -> list:
+    """``[fn(c) for c in range(n_chunks)]``, spread over the process's CPUs.
+
+    The calling thread and ``min(CPUs, n_chunks) - 1`` helper threads take
+    chunk indices in increasing order from one shared iterator, and each
+    result is stored at its chunk's index, so the list does not depend on
+    the thread count.  One CPU or one chunk starts no thread, and every
+    helper is joined before return.  Once a chunk raises, no thread takes
+    another chunk, and the exception of the lowest failing chunk is
+    re-raised: the one a serial loop would have met first.
+    """
+    results = [None] * n_chunks
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    indices = iter(range(n_chunks))
+
+    def work():
+        while True:
+            with lock:
+                c = None if errors else next(indices, None)
+            if c is None:
+                return
+            try:
+                results[c] = fn(c)
+            except BaseException as exc:  # re-raised on the calling thread
+                with lock:
+                    errors[c] = exc
+                return
+
+    helpers = [
+        threading.Thread(target=work) for _ in range(min(_cpu_count(), n_chunks) - 1)
+    ]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def mc_price(
     params: GBMParams, contract, n_paths: int, seed: int = 0
 ) -> PriceEstimate:
     """Monte Carlo price of a contract under correlated GBM.
+
+    Paths come in chunks of 4096, each with its own random stream.  The
+    calling thread and ``min(CPUs, chunks) - 1`` helper threads take
+    chunks in index order, where CPUs is the size of the process's
+    affinity set (``os.cpu_count()`` where that is not available); the
+    helpers are joined before return.  The per-chunk sums of payoffs and
+    squared payoffs are then added serially in chunk order, so the
+    estimate does not depend on the CPU count.  An exception raised in
+    any chunk reaches the caller.
 
     Parameters
     ----------
@@ -169,17 +243,30 @@ def mc_price(
     mu = params.step_means()
     L = cholesky_factor(build_covariance(params))
 
-    total = 0.0
-    total_sq = 0.0
-    n_chunks = math.ceil(n_paths / _CHUNK_PATHS)
-    for c in range(n_chunks):
+    # Independent assets: scaling each column gives the bits of z @ L.T,
+    # whose stacked matmul does not run in parallel across threads.
+    scale = np.diag(L)
+    independent = np.array_equal(L, np.diag(scale))
+
+    def chunk_sums(c: int) -> tuple[float, float]:
         m = min(_CHUNK_PATHS, n_paths - c * _CHUNK_PATHS)
         z = _chunk_normals(seed, c, (m, T, d))
-        returns = mu + z @ L.T
-        payoffs = _batch_discounted_payoffs(contract, params, returns, columns)
-        # Fixed reduction order: per-chunk sums accumulate serially.
-        total += float(np.sum(payoffs))
-        total_sq += float(np.sum(payoffs * payoffs))
+        if independent:
+            z *= scale
+        else:
+            z = z @ L.T
+        z += mu
+        payoffs = _batch_discounted_payoffs(contract, params, z, columns)
+        return float(np.sum(payoffs)), float(np.sum(payoffs * payoffs))
+
+    # Fixed reduction order: chunk sums accumulate serially in chunk order.
+    total = 0.0
+    total_sq = 0.0
+    for chunk_total, chunk_sq in _map_chunks(
+        chunk_sums, math.ceil(n_paths / _CHUNK_PATHS)
+    ):
+        total += chunk_total
+        total_sq += chunk_sq
 
     mean = total / n_paths
     var = max(total_sq / n_paths - mean * mean, 0.0) * n_paths / (n_paths - 1)

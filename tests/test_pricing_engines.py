@@ -2,6 +2,8 @@ import copy
 import itertools
 import json
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,22 +11,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdp.pricing_engines as pe
 from qdp.cli_report import load_benchmark_config
 from qdp.contracts import (
     AutocallableSpec,
     EuropeanCallSpec,
     TARFSpec,
+    _autocall_fold,
+    _reduce_basket,
     autocall_payoff,
     contract_from_dict,
     discount_and_sum,
     payoff_bounds,
     tarf_payoff,
+    tarf_payoff_batch,
 )
 from qdp.gaussian_loader import LoaderTarget
-from qdp.market_model import GBMParams, GridSpec, lattice
+from qdp.market_model import (
+    GBMParams,
+    GridSpec,
+    build_covariance,
+    cholesky_factor,
+    lattice,
+)
 from qdp.pricing_engines import (
     MAX_LATTICE_PATHS,
+    _batch_discounted_payoffs,
+    _chunk_normals,
     _enumerate_lattice,
+    _resolve_dates,
     black_scholes_call,
     exact_lattice_price,
     mc_price,
@@ -134,6 +149,153 @@ class TestMonteCarlo:
             assert type(result.n_paths) is int
 
 
+def serial_mc_reference(params, contract, n_paths, seed):
+    """The single-threaded loop ``mc_price`` replaced: per chunk, returns
+    ``mu + z @ L.T`` and out-of-place payoffs; chunk sums added in order.
+
+    Returns (estimate, stderr).
+    """
+    T = params.n_steps
+    columns = _resolve_dates(params, contract)
+    mu = params.step_means()
+    L = cholesky_factor(build_covariance(params))
+    total = total_sq = 0.0
+    for c in range(math.ceil(n_paths / pe._CHUNK_PATHS)):
+        m = min(pe._CHUNK_PATHS, n_paths - c * pe._CHUNK_PATHS)
+        returns = mu + _chunk_normals(seed, c, (m, T, params.d)) @ L.T
+        if isinstance(contract, AutocallableSpec):
+            values = _reduce_basket(np.exp(np.cumsum(returns, axis=1)), contract.basket)
+            payoffs = _autocall_fold(values, columns, contract, params.r)
+        else:
+            prices = params.s0[0] * np.exp(np.cumsum(returns[:, :, 0], axis=1))
+            payoffs = tarf_payoff_batch(prices, contract, params.r)
+        total += float(np.sum(payoffs))
+        total_sq += float(np.sum(payoffs * payoffs))
+    mean = total / n_paths
+    var = max(total_sq / n_paths - mean * mean, 0.0) * n_paths / (n_paths - 1)
+    return mean, math.sqrt(var / n_paths)
+
+
+def correlated_d2_model():
+    return GBMParams(
+        r=0.01, sigmas=(0.2, 0.35), rho=((1.0, 0.4), (0.4, 1.0)),
+        dt=0.25, n_steps=4, s0=(1.0, 1.0),
+    )
+
+
+def correlated_d2_autocall():
+    times = (0.25, 0.5, 0.75, 1.0)
+    return AutocallableSpec(
+        binaries=tuple((1.05, t, 0.05 * (k + 1)) for k, t in enumerate(times)),
+        k_put=1.0,
+        barrier=0.75,
+        notional=1.0,
+        barrier_dates=times,
+    )
+
+
+def set_cpus(monkeypatch, cpus):
+    """Make ``mc_price`` see ``cpus`` CPUs, whatever the machine has."""
+    monkeypatch.setattr(pe.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestThreadedChunks:
+    """``mc_price`` splits chunks over threads and still gives the serial bits."""
+
+    # Four full chunks and a short fifth one.
+    N_PATHS = 4 * 4096 + 100
+
+    @pytest.fixture(
+        params=["shipped-autocallable", "shipped-tarf", "correlated-d2-autocallable"]
+    )
+    def case(self, request, autocall_params, autocall_contract, tarf_params, tarf_contract):
+        return {
+            "shipped-autocallable": (autocall_params, autocall_contract),
+            "shipped-tarf": (tarf_params, tarf_contract),
+            "correlated-d2-autocallable": (correlated_d2_model(), correlated_d2_autocall()),
+        }[request.param]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_bit_identical_to_serial_loop(self, monkeypatch, case, cpus):
+        params, contract = case
+        set_cpus(monkeypatch, cpus)
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        before = threading.active_count()
+        switch = sys.getswitchinterval()
+        # Frequent thread switches interleave the chunks as much as possible.
+        sys.setswitchinterval(1e-6)
+        try:
+            result = mc_price(params, contract, self.N_PATHS, seed=11)
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(started) == cpus - 1
+        assert threading.active_count() == before
+        assert not any(t.is_alive() for t in started)
+        estimate, stderr = serial_mc_reference(params, contract, self.N_PATHS, seed=11)
+        assert result.estimate.hex() == estimate.hex()
+        assert result.stderr.hex() == stderr.hex()
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch, autocall_params, autocall_contract):
+        set_cpus(monkeypatch, 4)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
+        mc_price(autocall_params, autocall_contract, 4096, seed=0)
+        assert started == []
+
+    def test_helper_exception_reaches_caller(self, monkeypatch, tarf_params, tarf_contract):
+        set_cpus(monkeypatch, 2)
+        failed = threading.Event()
+        real = pe._batch_discounted_payoffs
+
+        class ChunkFailure(Exception):
+            pass
+
+        def payoffs(*args):
+            if threading.current_thread() is threading.main_thread():
+                # Hold the calling thread's chunk until the helper fails.
+                assert failed.wait(timeout=30), "no helper thread took a chunk"
+                return real(*args)
+            failed.set()
+            raise ChunkFailure("helper chunk")
+
+        monkeypatch.setattr(pe, "_batch_discounted_payoffs", payoffs)
+        before = threading.active_count()
+        with pytest.raises(ChunkFailure, match="helper chunk"):
+            mc_price(tarf_params, tarf_contract, 8 * 4096, seed=0)
+        assert failed.is_set()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_lowest_failing_chunk_is_raised(self, monkeypatch, tarf_params, tarf_contract, cpus):
+        set_cpus(monkeypatch, cpus)
+        real = pe._chunk_normals
+        chunk_5_failed = threading.Event()
+
+        def normals(seed, chunk_index, shape):
+            if chunk_index == 5:
+                chunk_5_failed.set()
+                raise ValueError("chunk 5")
+            if chunk_index == 3:
+                if cpus > 1:
+                    # Let another thread fail on chunk 5 first.
+                    chunk_5_failed.wait(timeout=30)
+                raise ValueError("chunk 3")
+            return real(seed, chunk_index, shape)
+
+        monkeypatch.setattr(pe, "_chunk_normals", normals)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="chunk 3"):
+            mc_price(tarf_params, tarf_contract, 8 * 4096, seed=0)
+        assert threading.active_count() == before
+
+
 class TestExactLattice:
     def test_matches_independent_enumerator(self):
         params = small_params()
@@ -190,7 +352,7 @@ class TestExactLattice:
         grid = GridSpec(n=3, w=5.0)
         a = exact_lattice_price(params, contract, grid, chunk_size=64)
         b = exact_lattice_price(params, contract, grid, chunk_size=1 << 16)
-        assert a.price == pytest.approx(b.price, abs=1e-15)
+        assert a.price == pytest.approx(b.price, rel=1e-14)
 
     # Chunks of 100 or 7 paths cut through the 64-path two-step subtrees of
     # the 8-cell lattice, and 5 is fewer than one step's cells.  Only the
@@ -287,6 +449,72 @@ def test_induction_matches_enumeration(instance):
     if params.d == 1 and isinstance(contract, AutocallableSpec):
         reference, _ = brute_force_lattice_price(params, contract, grid)
         assert abs(exact.price - reference) <= 1e-12
+
+
+@st.composite
+def payoff_instances(draw):
+    """Small autocallables (d in {1, 2}) and TARFs (d = 1) with T <= 4,
+    on independent or correlated assets."""
+    d = draw(st.integers(1, 2))
+    T = draw(st.integers(1, 4))
+    corr = draw(st.sampled_from([0.0, draw(st.floats(-0.5, 0.8))]))
+    params = GBMParams(
+        r=draw(st.floats(0.0, 0.05)),
+        sigmas=tuple(draw(st.lists(st.floats(0.05, 0.8), min_size=d, max_size=d))),
+        rho=tuple(tuple(1.0 if i == j else corr for j in range(d)) for i in range(d)),
+        dt=draw(st.sampled_from([0.25, 1.0 / 3.0, 0.5])),
+        n_steps=T,
+        s0=(1.0,) * d,
+    )
+    times = tuple(float(t) for t in params.dt * np.arange(1, T + 1))
+    if d == 1 and draw(st.booleans()):
+        k_lower = draw(st.floats(0.7, 1.0))
+        k_upper = draw(st.floats(1.0, 1.2))
+        contract = TARFSpec(
+            forward=1.0,
+            payment_times=times,
+            k_upper=k_upper,
+            k_lower=k_lower,
+            barrier=k_upper + draw(st.floats(0.01, 0.5)),
+            alpha=draw(st.floats(0.5, 3.0)),
+            cap=draw(st.floats(0.01, 1.0)),
+        )
+        return params, contract
+    steps = st.sets(st.integers(0, T - 1), min_size=1)
+    k_put = draw(st.floats(0.8, 1.2))
+    contract = AutocallableSpec(
+        binaries=tuple(
+            (draw(st.floats(0.9, 1.3)), times[k], draw(st.floats(0.0, 10.0)))
+            for k in sorted(draw(steps))
+        ),
+        k_put=k_put,
+        barrier=k_put * draw(st.floats(0.5, 1.0)),
+        notional=draw(st.floats(0.5, 20.0)),
+        barrier_dates=tuple(times[k] for k in sorted(draw(steps))),
+        basket=draw(st.sampled_from(["worst_of", "best_of"])),
+    )
+    return params, contract
+
+
+@given(payoff_instances(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_mc_payoffs_within_payoff_bounds(instance, seed):
+    params, contract = instance
+    L = cholesky_factor(build_covariance(params))
+    returns = params.step_means() + _chunk_normals(seed, 0, (512, params.n_steps, params.d)) @ L.T
+    payoffs = _batch_discounted_payoffs(
+        contract, params, returns, _resolve_dates(params, contract)
+    )
+    bounds = payoff_bounds(contract, params.r)
+    # An autocallable pays one rounded product, so its bounds hold exactly.
+    # A TARF adds its payments in floating point, and the payment that hits
+    # the cap, paid + disc * (cap - running), can round one ulp past f_max.
+    slack = 0.0
+    if isinstance(contract, TARFSpec):
+        slack = np.finfo(float).eps * (abs(bounds.f_min) + abs(bounds.f_max))
+    assert payoffs.shape == (512,)
+    assert np.all(payoffs >= bounds.f_min - slack)
+    assert np.all(payoffs <= bounds.f_max + slack)
 
 
 class TestGoldenPrices:
