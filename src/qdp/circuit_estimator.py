@@ -31,6 +31,7 @@ from .amplitude_estimation import oracle_call_bound
 from .contracts import AutocallableSpec, TARFSpec, payoff_bounds
 from .market_model import GBMParams, build_covariance, sigma_max
 from .qarith_resources import (
+    T_PER_TOFFOLI,
     FixedPointFormat,
     ResourceCount,
     add_resources,
@@ -41,7 +42,6 @@ from .qarith_resources import (
     mul_resources,
     piecewise_poly_qubits,
     rotation_resources,
-    serial,
 )
 
 INFEASIBLE_SCALE = 1.0
@@ -94,7 +94,7 @@ def _item(
 ) -> tuple[str, ResourceCount]:
     return name, ResourceCount(
         toffoli_count=toffoli,
-        t_count=7 * toffoli + rotation_t,
+        t_count=T_PER_TOFFOLI * toffoli + rotation_t,
         t_depth=depth,
         logical_qubits=qubits,
     )
@@ -606,13 +606,7 @@ def end_to_end(
     n_oracle = math.ceil(oracle_call_bound(eps_amp, 1.0 - confidence))
 
     payoff, payoff_bd = _payoff_circuit(contract, fmt, eps_f, k, M, z, d)
-    oracle = serial(loading, payoff)
-    oracle = ResourceCount(
-        toffoli_count=oracle.toffoli_count,
-        t_count=oracle.t_count,
-        t_depth=oracle.t_depth,
-        logical_qubits=loading.logical_qubits + payoff.logical_qubits,
-    )
+    oracle = EstimateBreakdown(loading_bd.items + payoff_bd.items).total()
 
     # The Grover iterate contains the state preparation twice; its two
     # reflections are Clifford-dominated and carry no T cost here.

@@ -29,7 +29,7 @@ from . import (
     qarith_resources as qa,
 )
 from .contracts import AutocallableSpec, TARFSpec, contract_from_dict
-from .market_model import GBMParams, GridSpec
+from .market_model import GBMParams, GridSpec, config_int
 
 # Published values the table1 report compares against (same benchmarks,
 # target error 2e-3): (t_count, t_depth, logical_qubits) per method and
@@ -93,7 +93,10 @@ def _parse_common(doc: dict):
 
 def _fmt_from(doc: dict, key: str) -> qa.FixedPointFormat:
     sub = _require(doc, key)
-    return qa.FixedPointFormat(n=int(_require(sub, "n", key)), p=int(_require(sub, "p", key)))
+    return qa.FixedPointFormat(
+        n=config_int(_require(sub, "n", key), f"{key}.n"),
+        p=config_int(_require(sub, "p", key), f"{key}.p"),
+    )
 
 
 def _emit(report, out_path: str | None, fmt: str, csv_rows=None) -> None:
@@ -127,7 +130,7 @@ def _json_default(obj):
 
 def _cmd_price_mc(doc: dict, digest: str, seed: int) -> dict:
     params, contract = _parse_common(doc)
-    n_paths = int(_get(doc, "paths", 100_000))
+    n_paths = config_int(_get(doc, "paths", 100_000), "paths")
     result = pe.mc_price(params, contract, n_paths, seed=seed)
     return {
         "estimate": result.estimate,
@@ -141,7 +144,10 @@ def _cmd_price_mc(doc: dict, digest: str, seed: int) -> dict:
 def _cmd_price_exact(doc: dict, digest: str, seed: int) -> dict:
     params, contract = _parse_common(doc)
     grid_doc = _require(doc, "grid")
-    grid = GridSpec(n=int(_require(grid_doc, "n", "grid")), w=float(_require(grid_doc, "w", "grid")))
+    grid = GridSpec(
+        n=config_int(_require(grid_doc, "n", "grid"), "grid.n"),
+        w=float(_require(grid_doc, "w", "grid")),
+    )
     result = pe.exact_lattice_price(params, contract, grid)
     return {
         "estimate": result.price,
@@ -166,7 +172,7 @@ def _estimate(doc: dict, method: str | None = None) -> ce.EndToEndReport:
     if not isinstance(contract, (AutocallableSpec, TARFSpec)):
         raise ConfigError("resource estimates need an autocallable or tarf contract")
     kwargs = {
-        key: cast(doc[key])
+        key: config_int(doc[key], key) if cast is int else cast(doc[key])
         for key, cast in _ESTIMATE_KEYS.items()
         if _get(doc, key) is not None
     }
@@ -206,7 +212,7 @@ def _cmd_iqae_demo(doc: dict, digest: str, seed: int) -> dict:
     a = float(_get(doc, "a", 0.3))
     alpha = float(_get(doc, "alpha", 0.32))
     epsilons = _get(doc, "epsilons", [1e-2, 3e-3, 1e-3, 3e-4])
-    n_seeds = int(_get(doc, "n_seeds", 20))
+    n_seeds = config_int(_get(doc, "n_seeds", 20), "n_seeds")
     rows = []
     for eps in epsilons:
         calls = []
@@ -228,9 +234,9 @@ def _cmd_iqae_demo(doc: dict, digest: str, seed: int) -> dict:
 
 
 def _cmd_train_loader(doc: dict, digest: str, seed: int) -> dict:
-    n = int(_get(doc, "n", 4))
-    depths = _get(doc, "depths", [2, 4, 6, 8])
-    restarts = int(_get(doc, "restarts", 4))
+    n = config_int(_get(doc, "n", 4), "n")
+    depths = [config_int(L, "depths") for L in _get(doc, "depths", [2, 4, 6, 8])]
+    restarts = config_int(_get(doc, "restarts", 4), "restarts")
     w = float(_get(doc, "w", 5.0))
     results = gl.train_sweep(n, depths, restarts=restarts, seed=seed, w=w)
     rows = [
@@ -248,14 +254,14 @@ def _cmd_train_loader(doc: dict, digest: str, seed: int) -> dict:
 
 def _cmd_qarith(doc: dict, digest: str, seed: int) -> dict:
     primitive = _get(doc, "primitive", "add")
-    n_values = _get(doc, "n_values", list(range(8, 40, 2)))
-    p = int(_get(doc, "p", 2))
-    k = int(_get(doc, "k", 3))
-    M = int(_get(doc, "M", 32))
-    z = int(_get(doc, "z", 1))
+    n_values = [config_int(n, "n_values") for n in _get(doc, "n_values", range(8, 40, 2))]
+    p = config_int(_get(doc, "p", 2), "p")
+    k = config_int(_get(doc, "k", 3), "k")
+    M = config_int(_get(doc, "M", 32), "M")
+    z = config_int(_get(doc, "z", 1), "z")
     rows = []
     for n in n_values:
-        fmt = qa.FixedPointFormat(n=int(n), p=p)
+        fmt = qa.FixedPointFormat(n=n, p=p)
         if primitive == "add":
             rc = qa.add_resources(fmt)
         elif primitive == "mul":
@@ -272,7 +278,7 @@ def _cmd_qarith(doc: dict, digest: str, seed: int) -> dict:
             raise ConfigError(f"unknown primitive '{primitive}'")
         rows.append(
             {
-                "n": int(n),
+                "n": n,
                 "p": p,
                 "toffoli_count": rc.toffoli_count,
                 "t_count": rc.t_count,

@@ -14,10 +14,21 @@ path densities factorize across time.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import multivariate_normal, norm
+
+
+def config_int(value, key: str) -> int:
+    """``value`` as an int if it is an integral number such as ``100000``
+    or ``1e5``; any other value raises a ValueError that names ``key``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"config key '{key}' must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -103,10 +114,10 @@ class GBMParams:
             sigmas=tuple(doc["sigmas"]),
             rho=tuple(tuple(row) for row in doc["rho"]),
             dt=float(doc["dt"]),
-            n_steps=int(doc["T"]),
+            n_steps=config_int(doc["T"], "T"),
             s0=tuple(doc["s0"]),
         )
-        if "d" in doc and int(doc["d"]) != params.d:
+        if "d" in doc and config_int(doc["d"], "d") != params.d:
             raise ValueError("declared asset count d disagrees with sigmas length")
         return params
 

@@ -3,14 +3,17 @@ Classical pricing oracles: Monte Carlo and exact lattice summation.
 
 The Monte Carlo engine is the classical baseline: sample d*T i.i.d.
 standard normals per path, correlate them through the Cholesky factor,
-add the drift, exponentiate, and average discounted payoffs.  Paths are
-generated in fixed-size chunks from a counter-based RNG keyed by (seed,
-chunk index).  The chunks run on the calling thread plus one helper
-thread per further CPU the process may use, and each chunk's sums are
-added in chunk order afterwards, so a (seed, n_paths) pair gives the
-same bit-identical estimate at any CPU count.  A contract's dates are
-resolved to step columns once per call, and its payoff is a fold of
-per-date steps over them.
+add the drift, and average discounted payoffs.  Paths are generated in
+fixed-size chunks from a counter-based RNG keyed by (seed, chunk index).
+The chunks run on the calling thread plus one helper thread per further
+CPU the process may use, and each chunk's sums are added in chunk order
+afterwards, so a (seed, n_paths) pair gives the same bit-identical
+estimate at any CPU count.
+
+Both path engines, Monte Carlo and the lattice enumerator, fold one
+per-contract payoff (``_payoff_fold``): a step per date over cumulative
+log-returns, with the contract's dates resolved to step columns once per
+call.  So the sampled paths and the lattice pay by the same function.
 
 The exact lattice pricer sums pmf * discounted payoff over every path of
 the truncated midpoint lattice.  Up to the truncation/discretization
@@ -97,18 +100,13 @@ def _chunk_normals(seed: int, chunk_index: int, shape: tuple[int, ...]) -> np.nd
     return ndtri(u, out=u)
 
 
-def _payoff_times(params: GBMParams) -> np.ndarray:
-    """Observation times of the model's uniform step grid."""
-    return params.dt * np.arange(1, params.n_steps + 1)
-
-
 def _resolve_dates(params: GBMParams, contract):
     """A contract's dates as step columns, resolved once per engine call.
 
     Returns ``_autocall_columns`` for an autocallable and the payment
     columns for a TARF; a European call observes only its horizon (None).
     """
-    times = _payoff_times(params)
+    times = params.dt * np.arange(1, params.n_steps + 1)
     if isinstance(contract, AutocallableSpec):
         return contracts._autocall_columns(times, contract)
     if isinstance(contract, TARFSpec):
@@ -128,28 +126,55 @@ def _resolve_dates(params: GBMParams, contract):
     raise TypeError(f"unsupported contract type {type(contract).__name__}")
 
 
-def _batch_discounted_payoffs(
-    contract, params: GBMParams, returns: np.ndarray, columns
-) -> np.ndarray:
-    """Discounted payoffs for a batch of log-return paths (batch, T, d).
+def _payoff_fold(params: GBMParams, contract):
+    """A contract's discounted payoff as a fold over path steps: (start, step, value).
 
-    The cumulative sums and exponentials are taken in place, so
-    ``returns`` is overwritten.
+    ``start`` is the payoff state before the first step, a tuple of
+    length-1 arrays that broadcast against any batch; ``step(state, cum,
+    t)`` observes step t given each path's per-asset cumulative
+    log-returns ``cum`` (P, d), and ``value(state, cum)`` is the
+    discounted payoff of complete paths.  Monte Carlo folds it over
+    sampled paths and the enumerator over lattice prefixes.  One start
+    serves every chunk and thread, so a step returns new arrays and never
+    writes its state in place.
     """
+    columns = _resolve_dates(params, contract)
+    r = params.r
     if isinstance(contract, AutocallableSpec):
-        np.cumsum(returns, axis=1, out=returns)
-        cum = np.exp(returns, out=returns)
-        values = contracts._reduce_basket(cum, contract.basket)
-        return contracts._autocall_fold(values, columns, contract, params.r)
+        final_col = int(columns[2])
+
+        def step(state, cum, t):
+            if t > final_col:
+                return state
+            value = contracts._reduce_basket(np.exp(cum), contract.basket)
+            return contracts._autocall_date(state, value, t, columns, contract, r)
+
+        return contracts._autocall_start(1), step, lambda state, cum: state[0]
     s0 = params.s0[0]
     if isinstance(contract, TARFSpec):
-        prices = returns[:, :, 0]
-        np.cumsum(prices, axis=1, out=prices)
-        np.exp(prices, out=prices)
-        prices *= s0
-        return contracts.tarf_payoff_batch(prices, contract, params.r)
-    s_T = s0 * np.exp(np.sum(returns[:, :, 0], axis=1))
-    return contracts._call_payoff(s_T, contract, params.r)
+        discs = [math.exp(-r * t) for t in contract.payment_times]
+
+        def step(state, cum, t):
+            return contracts._tarf_date(state, s0 * np.exp(cum[:, 0]), contract, discs[t])
+
+        return contracts._tarf_start(1), step, lambda state, cum: state[0]
+    return (
+        (),
+        lambda state, cum, t: state,
+        lambda state, cum: contracts._call_payoff(s0 * np.exp(cum[:, 0]), contract, r),
+    )
+
+
+def _fold_paths(fold, returns: np.ndarray) -> np.ndarray:
+    """Discounted payoffs of log-return paths (batch, T, d) under ``fold``.
+
+    The cumulative sums are taken in place, so ``returns`` is overwritten.
+    """
+    state, step, value = fold
+    cum = np.cumsum(returns, axis=1, out=returns)
+    for t in range(cum.shape[1]):
+        state = step(state, cum[:, t], t)
+    return value(state, cum[:, -1])
 
 
 def _cpu_count() -> int:
@@ -239,7 +264,7 @@ def mc_price(
     if n_paths < 2:
         raise ValueError(f"need at least 2 paths, got n_paths={n_paths}")
     d, T = params.d, params.n_steps
-    columns = _resolve_dates(params, contract)
+    fold = _payoff_fold(params, contract)
     mu = params.step_means()
     L = cholesky_factor(build_covariance(params))
 
@@ -256,7 +281,7 @@ def mc_price(
         else:
             z = z @ L.T
         z += mu
-        payoffs = _batch_discounted_payoffs(contract, params, z, columns)
+        payoffs = _fold_paths(fold, z)
         return float(np.sum(payoffs)), float(np.sum(payoffs * payoffs))
 
     # Fixed reduction order: chunk sums accumulate serially in chunk order.
@@ -291,15 +316,13 @@ def black_scholes_call(
     return float(s0 * norm.cdf(d1) - strike * math.exp(-r * expiry) * norm.cdf(d2))
 
 
-def exact_lattice_price(
-    params: GBMParams, contract, grid: GridSpec, chunk_size: int = 1 << 16
-) -> LatticePrice:
+def exact_lattice_price(params: GBMParams, contract, grid: GridSpec) -> LatticePrice:
     """Expected discounted payoff summed exactly over the return lattice.
 
     Autocallables (any d, either basket) and European calls are priced
     by forward induction on the cumulative-return lattice, in work
     polynomial in T.  TARFs are priced by enumerating all
-    (2^{n d})^T paths in chunks of ``chunk_size``: the running accrual
+    (2^{n d})^T paths in chunks of 2^16: the running accrual
     is continuous, so a TARF has no exact finite state to induct on.
 
     Both engines weight a path by its pmf over all T steps, so mass that
@@ -319,7 +342,7 @@ def exact_lattice_price(
     """
     d, T = params.d, params.n_steps
     if isinstance(contract, TARFSpec):
-        price, total_mass = _enumerate_lattice(params, contract, grid, chunk_size)
+        price, total_mass = _enumerate_lattice(params, contract, grid)
     else:
         price, total_mass = _induct_lattice(params, contract, grid)
     if isinstance(contract, EuropeanCallSpec):
@@ -357,7 +380,7 @@ def _enumerate_lattice(
             f"lattice enumeration at n={grid.n}, d={d}, T={T} has {n_paths} "
             "paths (> 2^26); reduce n, d, or T"
         )
-    state, step, value = _prefix_payoff(params, contract, _resolve_dates(params, contract))
+    state, step, value = _payoff_fold(params, contract)
     log_pmf = np.log(lat.step_pmf.ravel())
     # Per-state return vectors, shape (n_states, d), mixed-radix over dims.
     state_returns = np.stack(
@@ -407,40 +430,6 @@ def _enumerate_lattice(
         mass_parts.append(float(np.sum(probs)))
         price_parts.append(float(np.sum(probs * value(state, cum))))
     return math.fsum(price_parts), math.fsum(mass_parts)
-
-
-def _prefix_payoff(params: GBMParams, contract, columns):
-    """A contract's payoff carried along path prefixes: (state, step, value).
-
-    ``state`` is the payoff state of the empty prefix, ``step(state, cum,
-    t)`` observes step t given each prefix's per-asset cumulative
-    log-returns ``cum`` (P, d), and ``value(state, cum)`` is the discounted
-    payoff of complete paths.  A state is a tuple of arrays over prefixes.
-    """
-    r = params.r
-    if isinstance(contract, AutocallableSpec):
-        final_col = int(columns[2])
-
-        def step(state, cum, t):
-            if t > final_col:
-                return state
-            value = contracts._reduce_basket(np.exp(cum), contract.basket)
-            return contracts._autocall_date(state, value, t, columns, contract, r)
-
-        return contracts._autocall_start(1), step, lambda state, cum: state[0]
-    s0 = params.s0[0]
-    if isinstance(contract, TARFSpec):
-        discs = [math.exp(-r * t) for t in contract.payment_times]
-
-        def step(state, cum, t):
-            return contracts._tarf_date(state, s0 * np.exp(cum[:, 0]), contract, discs[t])
-
-        return contracts._tarf_start(1), step, lambda state, cum: state[0]
-    return (
-        (),
-        lambda state, cum, t: state,
-        lambda state, cum: contracts._call_payoff(s0 * np.exp(cum[:, 0]), contract, r),
-    )
 
 
 def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float, float]:

@@ -64,16 +64,6 @@ def from_toffoli(toffoli: int, t_depth: int, logical_qubits: int = 0) -> Resourc
     )
 
 
-def serial(*parts: ResourceCount) -> ResourceCount:
-    """Sequential composition: counts and depths add, qubit footprints max."""
-    return ResourceCount(
-        toffoli_count=sum(p.toffoli_count for p in parts),
-        t_count=sum(p.t_count for p in parts),
-        t_depth=sum(p.t_depth for p in parts),
-        logical_qubits=max((p.logical_qubits for p in parts), default=0),
-    )
-
-
 def popcount(n: int) -> int:
     """Number of set bits in the binary expansion of n."""
     return int(n).bit_count()

@@ -272,6 +272,87 @@ class TestEstimatorCommands:
         assert doc["rows"][0]["calls_quantum"] > 0
 
 
+def _set(doc: dict, dotted: str, value) -> dict:
+    """A copy of ``doc`` with the (possibly nested) key ``dotted`` set."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = dotted.split(".")
+    sub = doc
+    for key in parents:
+        sub = sub[key]
+    sub[last] = value
+    return doc
+
+
+class TestIntegerKeys:
+    """Integer config keys take integral numbers only; anything else exits 2."""
+
+    @staticmethod
+    def base(command, tmp_path):
+        if command in ("price-mc", "price-exact"):
+            return json.loads(Path(small_pricing_config(tmp_path)).read_text())
+        if command == "estimate-resources":
+            return load_benchmark_config("tarf")
+        return {
+            "qarith": {"n_values": [8]},
+            "iqae-demo": {"epsilons": [1e-2], "n_seeds": 2},
+            "train-loader": {"n": 2, "depths": [0], "restarts": 1},
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("price-mc", "paths", 5000.5),
+            ("price-mc", "paths", "5000"),
+            ("price-mc", "paths", True),
+            ("price-mc", "model.T", 3.5),
+            ("price-exact", "grid.n", 2.7),
+            ("price-exact", "model.d", 1.5),
+            ("estimate-resources", "fmt.n", 34.5),
+            ("estimate-resources", "gaussian_fmt.p", 3.2),
+            ("estimate-resources", "L", 6.5),
+            ("estimate-resources", "z", 1.5),
+            ("qarith", "p", 2.5),
+            ("qarith", "k", 3.5),
+            ("qarith", "M", 32.5),
+            ("qarith", "n_values", [8.5]),
+            ("iqae-demo", "n_seeds", 2.5),
+            ("train-loader", "n", 2.5),
+            ("train-loader", "restarts", 1.5),
+            ("train-loader", "depths", [0.5]),
+        ],
+    )
+    def test_non_integral_value_rejected(self, tmp_path, capsys, command, key, value):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(_set(self.base(command, tmp_path), key, value)))
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        name = key.split(".", 1)[1] if key.startswith("model.") else key
+        assert f"config key '{name}' must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "command, key, value, field, expected",
+        [
+            ("price-mc", "paths", 2e3, "paths", 2000),
+            ("price-exact", "grid.n", 3.0, "lattice_size", 8**3),
+            ("price-exact", "model.T", 3.0, "lattice_size", 8**3),
+        ],
+    )
+    def test_integral_float_accepted(
+        self, tmp_path, capsys, command, key, value, field, expected
+    ):
+        reports = []
+        for name, doc in (("int", self.base(command, tmp_path)),
+                          ("float", _set(self.base(command, tmp_path), key, value))):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, command, "--config", str(config))
+            assert code == 0, err
+            reports.append(json.loads(out))
+        assert reports[1][field] == expected
+        assert reports[1]["estimate"] == reports[0]["estimate"]
+
+
 class TestOutputHandling:
     def test_out_file_and_env_dir(self, tmp_path, capsys, monkeypatch):
         config = small_pricing_config(tmp_path)

@@ -36,9 +36,10 @@ from qdp.market_model import (
 )
 from qdp.pricing_engines import (
     MAX_LATTICE_PATHS,
-    _batch_discounted_payoffs,
     _chunk_normals,
     _enumerate_lattice,
+    _fold_paths,
+    _payoff_fold,
     _resolve_dates,
     black_scholes_call,
     exact_lattice_price,
@@ -252,12 +253,12 @@ class TestThreadedChunks:
     def test_helper_exception_reaches_caller(self, monkeypatch, tarf_params, tarf_contract):
         set_cpus(monkeypatch, 2)
         failed = threading.Event()
-        real = pe._batch_discounted_payoffs
+        real = pe._chunk_normals
 
         class ChunkFailure(Exception):
             pass
 
-        def payoffs(*args):
+        def normals(*args):
             if threading.current_thread() is threading.main_thread():
                 # Hold the calling thread's chunk until the helper fails.
                 assert failed.wait(timeout=30), "no helper thread took a chunk"
@@ -265,7 +266,7 @@ class TestThreadedChunks:
             failed.set()
             raise ChunkFailure("helper chunk")
 
-        monkeypatch.setattr(pe, "_batch_discounted_payoffs", payoffs)
+        monkeypatch.setattr(pe, "_chunk_normals", normals)
         before = threading.active_count()
         with pytest.raises(ChunkFailure, match="helper chunk"):
             mc_price(tarf_params, tarf_contract, 8 * 4096, seed=0)
@@ -350,9 +351,9 @@ class TestExactLattice:
         params = small_params(sigma=0.4, r=0.01, s0=20.0)
         contract = fixture_tarf(tarf_fixture)
         grid = GridSpec(n=3, w=5.0)
-        a = exact_lattice_price(params, contract, grid, chunk_size=64)
-        b = exact_lattice_price(params, contract, grid, chunk_size=1 << 16)
-        assert a.price == pytest.approx(b.price, rel=1e-14)
+        a, _ = _enumerate_lattice(params, contract, grid, chunk_size=64)
+        b, _ = _enumerate_lattice(params, contract, grid, chunk_size=1 << 16)
+        assert a == pytest.approx(b, rel=1e-14)
 
     # Chunks of 100 or 7 paths cut through the 64-path two-step subtrees of
     # the 8-cell lattice, and 5 is fewer than one step's cells.  Only the
@@ -362,10 +363,10 @@ class TestExactLattice:
         params = small_params(sigma=0.4, r=0.01, s0=20.0)
         contract = fixture_tarf(tarf_fixture)
         grid = GridSpec(n=3, w=5.0)
-        a = exact_lattice_price(params, contract, grid, chunk_size=chunk_size)
-        b = exact_lattice_price(params, contract, grid, chunk_size=1 << 16)
-        assert a.price == pytest.approx(b.price, rel=1e-14)
-        assert a.total_mass == pytest.approx(b.total_mass, rel=1e-14)
+        a_price, a_mass = _enumerate_lattice(params, contract, grid, chunk_size=chunk_size)
+        b_price, b_mass = _enumerate_lattice(params, contract, grid, chunk_size=1 << 16)
+        assert a_price == pytest.approx(b_price, rel=1e-14)
+        assert a_mass == pytest.approx(b_mass, rel=1e-14)
 
     @pytest.mark.parametrize("n_steps, n", [(1, 3), (2, 2), (3, 3), (4, 1), (4, 3)])
     def test_tarf_matches_independent_enumerator(self, tarf_fixture, n_steps, n):
@@ -502,9 +503,7 @@ def test_mc_payoffs_within_payoff_bounds(instance, seed):
     params, contract = instance
     L = cholesky_factor(build_covariance(params))
     returns = params.step_means() + _chunk_normals(seed, 0, (512, params.n_steps, params.d)) @ L.T
-    payoffs = _batch_discounted_payoffs(
-        contract, params, returns, _resolve_dates(params, contract)
-    )
+    payoffs = _fold_paths(_payoff_fold(params, contract), returns)
     bounds = payoff_bounds(contract, params.r)
     # An autocallable pays one rounded product, so its bounds hold exactly.
     # A TARF adds its payments in floating point, and the payment that hits
@@ -515,6 +514,54 @@ def test_mc_payoffs_within_payoff_bounds(instance, seed):
     assert payoffs.shape == (512,)
     assert np.all(payoffs >= bounds.f_min - slack)
     assert np.all(payoffs <= bounds.f_max + slack)
+
+
+def fold_cases(tarf_fixture):
+    """(params, contract, grid) for the fold-against-exact-engines check."""
+    d1 = small_params()
+    return {
+        "autocallable-d1": (d1, small_autocall(), GridSpec(n=3, w=4.0)),
+        "tarf-d1": (
+            small_params(sigma=0.4, r=0.01, s0=20.0),
+            fixture_tarf(tarf_fixture),
+            GridSpec(n=3, w=4.0),
+        ),
+        "call-d1": (
+            d1, EuropeanCallSpec(strike=1.05, expiry=d1.horizon), GridSpec(n=3, w=4.0)
+        ),
+        "autocallable-d2-independent": (
+            GBMParams(
+                r=0.02, sigmas=(0.2, 0.35), rho=((1.0, 0.0), (0.0, 1.0)),
+                dt=1.0 / 3.0, n_steps=3, s0=(1.0, 1.0),
+            ),
+            AutocallableSpec(
+                binaries=((1.05, 1.0 / 3.0, 1.0), (1.05, 2.0 / 3.0, 2.0), (1.05, 1.0, 3.0)),
+                k_put=1.0,
+                barrier=0.8,
+                notional=5.0,
+                barrier_dates=(1.0 / 3.0, 2.0 / 3.0, 1.0),
+            ),
+            GridSpec(n=2, w=4.0),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["autocallable-d1", "tarf-d1", "call-d1", "autocallable-d2-independent"]
+)
+def test_fold_on_lattice_paths_matches_exact_engines(tarf_fixture, case):
+    # Paths drawn from the lattice pmf itself carry no discretization bias,
+    # so the MC payoff fold must average to the exact engine's normalized
+    # price: forward induction for autocallables and calls, enumeration
+    # for the TARF.
+    params, contract, grid = fold_cases(tarf_fixture)[case]
+    n_paths, T, d = 20_000, params.n_steps, params.d
+    returns = reparam_distribution(grid, params).sample_returns(n_paths * T, seed=5)
+    payoffs = _fold_paths(_payoff_fold(params, contract), returns.reshape(n_paths, T, d))
+    stderr = float(np.std(payoffs, ddof=1)) / math.sqrt(n_paths)
+    exact = exact_lattice_price(params, contract, grid)
+    assert stderr > 0
+    assert abs(float(np.mean(payoffs)) - exact.price / exact.total_mass) <= 4.0 * stderr
 
 
 class TestGoldenPrices:

@@ -24,7 +24,6 @@ from qdp.qarith_resources import (
     popcount,
     rotation_depth,
     rotation_resources,
-    serial,
     sqrt_resources,
 )
 
@@ -174,12 +173,6 @@ class TestRotations:
 
 
 class TestComposition:
-    def test_serial_adds_depth_maxes_qubits(self):
-        a = ResourceCount(toffoli_count=2, t_count=14, t_depth=3, logical_qubits=5)
-        b = ResourceCount(toffoli_count=1, t_count=7, t_depth=4, logical_qubits=9)
-        s = serial(a, b)
-        assert (s.toffoli_count, s.t_count, s.t_depth, s.logical_qubits) == (3, 21, 7, 9)
-
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             ResourceCount(toffoli_count=-1)
