@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 
 def oracle_call_bound(epsilon: float, alpha: float) -> float:
@@ -112,6 +111,9 @@ def _find_next_k(
 
 def _clopper_pearson(ones: int, shots: int, alpha: float) -> tuple[float, float]:
     """Exact binomial confidence interval for the success probability."""
+    # Imported here so that loading qdp does not load scipy.stats.
+    from scipy.stats import beta as _beta_dist
+
     if ones == 0:
         lo = 0.0
     else:

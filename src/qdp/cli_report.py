@@ -29,7 +29,7 @@ from . import (
     qarith_resources as qa,
 )
 from .contracts import AutocallableSpec, TARFSpec, contract_from_dict
-from .market_model import GBMParams, GridSpec, config_int
+from .market_model import GBMParams, GridSpec, config_float, config_int
 
 # Published values the table1 report compares against (same benchmarks,
 # target error 2e-3): (t_count, t_depth, logical_qubits) per method and
@@ -146,7 +146,7 @@ def _cmd_price_exact(doc: dict, digest: str, seed: int) -> dict:
     grid_doc = _require(doc, "grid")
     grid = GridSpec(
         n=config_int(_require(grid_doc, "n", "grid"), "grid.n"),
-        w=float(_require(grid_doc, "w", "grid")),
+        w=config_float(_require(grid_doc, "w", "grid"), "grid.w"),
     )
     result = pe.exact_lattice_price(params, contract, grid)
     return {
@@ -159,11 +159,12 @@ def _cmd_price_exact(doc: dict, digest: str, seed: int) -> dict:
     }
 
 
-# Config keys forwarded to end_to_end, with their types.  An absent or null
+# Config keys forwarded to end_to_end, with their readers.  An absent or null
 # key keeps end_to_end's default, so the estimate defaults live there only.
 _ESTIMATE_KEYS = {
-    "confidence": float, "L": int, "k": int, "M": int, "z": int, "beta": float,
-    "eps_f": float, "eps_dens": float, "synthesis_epsilon": float,
+    "confidence": config_float, "L": config_int, "k": config_int, "M": config_int,
+    "z": config_int, "beta": config_float, "eps_f": config_float,
+    "eps_dens": config_float, "synthesis_epsilon": config_float,
 }
 
 
@@ -172,13 +173,13 @@ def _estimate(doc: dict, method: str | None = None) -> ce.EndToEndReport:
     if not isinstance(contract, (AutocallableSpec, TARFSpec)):
         raise ConfigError("resource estimates need an autocallable or tarf contract")
     kwargs = {
-        key: config_int(doc[key], key) if cast is int else cast(doc[key])
-        for key, cast in _ESTIMATE_KEYS.items()
+        key: read(doc[key], key)
+        for key, read in _ESTIMATE_KEYS.items()
         if _get(doc, key) is not None
     }
     w = _get(_get(doc, "grid", {}), "w")
     if w is not None:
-        kwargs["w"] = float(w)
+        kwargs["w"] = config_float(w, "grid.w")
     if _get(doc, "gaussian_fmt") is not None:
         kwargs["gaussian_fmt"] = _fmt_from(doc, "gaussian_fmt")
     return ce.end_to_end(
@@ -186,7 +187,7 @@ def _estimate(doc: dict, method: str | None = None) -> ce.EndToEndReport:
         params,
         contract,
         _fmt_from(doc, "fmt"),
-        float(_require(doc, "target_error")),
+        config_float(_require(doc, "target_error"), "target_error"),
         **kwargs,
     )
 
@@ -209,9 +210,12 @@ def _cmd_error_budget(doc: dict, digest: str, seed: int) -> dict:
 
 
 def _cmd_iqae_demo(doc: dict, digest: str, seed: int) -> dict:
-    a = float(_get(doc, "a", 0.3))
-    alpha = float(_get(doc, "alpha", 0.32))
-    epsilons = _get(doc, "epsilons", [1e-2, 3e-3, 1e-3, 3e-4])
+    a = config_float(_get(doc, "a", 0.3), "a")
+    alpha = config_float(_get(doc, "alpha", 0.32), "alpha")
+    epsilons = [
+        config_float(eps, "epsilons")
+        for eps in _get(doc, "epsilons", [1e-2, 3e-3, 1e-3, 3e-4])
+    ]
     n_seeds = config_int(_get(doc, "n_seeds", 20), "n_seeds")
     rows = []
     for eps in epsilons:
@@ -237,7 +241,7 @@ def _cmd_train_loader(doc: dict, digest: str, seed: int) -> dict:
     n = config_int(_get(doc, "n", 4), "n")
     depths = [config_int(L, "depths") for L in _get(doc, "depths", [2, 4, 6, 8])]
     restarts = config_int(_get(doc, "restarts", 4), "restarts")
-    w = float(_get(doc, "w", 5.0))
+    w = config_float(_get(doc, "w", 5.0), "w")
     results = gl.train_sweep(n, depths, restarts=restarts, seed=seed, w=w)
     rows = [
         {"n": n, "L": L, "l_inf": r.l_inf, "energy": r.energy}

@@ -14,11 +14,12 @@ path densities factorize across time.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import multivariate_normal, norm
+from scipy.linalg import solve_triangular
 
 
 def config_int(value, key: str) -> int:
@@ -29,6 +30,19 @@ def config_int(value, key: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"config key '{key}' must be an integer, got {value!r}")
+
+
+def config_float(value, key: str) -> float:
+    """``value`` as a float if it is a finite int or float; any other value
+    (a string, a bool, NaN, +-inf) raises a ValueError that names ``key``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"config key '{key}' must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +192,7 @@ def standard_normal_cells(w: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     renormalized.
     """
     coords, dx = cell_midpoints(-w, w, n)
-    return coords, norm.pdf(coords) * dx
+    return coords, np.exp(-coords**2 / 2.0) / np.sqrt(2 * np.pi) * dx
 
 
 @dataclass(frozen=True)
@@ -239,13 +253,17 @@ def lattice(grid: GridSpec, params: GBMParams) -> Lattice:
 
     Each asset's box ``grid.bounds`` is cut by ``cell_midpoints``; a cell's
     mass is density(midpoint) * cell volume.  Mass outside the truncation
-    box is dropped, not renormalized.
+    box is dropped, not renormalized.  The log-density comes from the
+    Cholesky factor L that Monte Carlo correlates with:
+    -(|L^-1 (x - mu)|^2 + d log 2 pi) / 2 - sum_j log L_jj.
     """
-    cov = build_covariance(params)
+    chol = cholesky_factor(build_covariance(params))
     coords, dx = cell_midpoints(*grid.bounds(params), grid.n)
     mesh = np.meshgrid(*coords, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    logpdf = multivariate_normal(mean=params.step_means(), cov=cov).logpdf(points)
+    dev = np.stack([m.ravel() for m in mesh]) - params.step_means()[:, None]
+    white = solve_triangular(chol, dev, lower=True)
+    logpdf = -0.5 * (np.sum(white**2, axis=0) + params.d * math.log(2 * math.pi))
+    logpdf -= np.sum(np.log(np.diag(chol)))
     log_volume = float(np.sum(np.log(dx)))
-    pmf = np.exp(np.asarray(logpdf) + log_volume).reshape((2**grid.n,) * params.d)
+    pmf = np.exp(logpdf + log_volume).reshape((2**grid.n,) * params.d)
     return Lattice(coords=coords, step_pmf=pmf)

@@ -41,8 +41,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from . import contracts
 from .contracts import (
@@ -313,7 +312,7 @@ def black_scholes_call(
         sigma * math.sqrt(expiry)
     )
     d2 = d1 - sigma * math.sqrt(expiry)
-    return float(s0 * norm.cdf(d1) - strike * math.exp(-r * expiry) * norm.cdf(d2))
+    return float(s0 * ndtr(d1) - strike * math.exp(-r * expiry) * ndtr(d2))
 
 
 def exact_lattice_price(params: GBMParams, contract, grid: GridSpec) -> LatticePrice:

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -351,6 +354,87 @@ class TestIntegerKeys:
             reports.append(json.loads(out))
         assert reports[1][field] == expected
         assert reports[1]["estimate"] == reports[0]["estimate"]
+
+
+class TestFloatKeys:
+    """Float config keys take finite numbers only; anything else exits 2."""
+
+    @staticmethod
+    def base(command, tmp_path):
+        if command == "price-exact":
+            return json.loads(Path(small_pricing_config(tmp_path)).read_text())
+        if command == "estimate-resources":
+            return load_benchmark_config("tarf")
+        return {
+            "iqae-demo": {"epsilons": [1e-2], "n_seeds": 2},
+            "train-loader": {"n": 2, "depths": [0], "restarts": 1},
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("price-exact", "grid.w", "5.0"),
+            ("price-exact", "grid.w", True),
+            ("price-exact", "grid.w", float("nan")),
+            ("estimate-resources", "grid.w", float("inf")),
+            ("estimate-resources", "target_error", "abc"),
+            ("estimate-resources", "confidence", "0.68"),
+            ("estimate-resources", "beta", True),
+            ("estimate-resources", "eps_f", float("nan")),
+            ("estimate-resources", "eps_dens", float("-inf")),
+            ("estimate-resources", "synthesis_epsilon", "1e-10"),
+            ("iqae-demo", "a", "0.3"),
+            ("iqae-demo", "a", "abc"),
+            ("iqae-demo", "alpha", False),
+            ("iqae-demo", "epsilons", ["0.01"]),
+            ("train-loader", "w", "5"),
+            ("train-loader", "w", float("nan")),
+            ("train-loader", "w", 10**400),
+        ],
+    )
+    def test_non_number_rejected(self, tmp_path, capsys, command, key, value):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(_set(self.base(command, tmp_path), key, value)))
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"config key '{key}' must be a finite number" in err
+
+    @pytest.mark.parametrize(
+        "command, key", [("price-exact", "grid.w"), ("train-loader", "w")]
+    )
+    def test_integer_value_accepted(self, tmp_path, capsys, command, key):
+        reports = []
+        for value in (5, 5.0):
+            config = tmp_path / f"{value!r}.json"
+            config.write_text(json.dumps(_set(self.base(command, tmp_path), key, value)))
+            code, out, err = run_cli(capsys, command, "--config", str(config))
+            assert code == 0, err
+            report = json.loads(out)
+            report.pop("config_sha256")
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+
+def test_pricing_runs_without_scipy_stats(tmp_path):
+    # A fresh interpreter: importing the CLI and pricing must not load
+    # scipy.stats, which only the IQAE simulator needs.
+    config = small_pricing_config(tmp_path, paths=3000)
+    script = (
+        "import sys\n"
+        "from qdp.cli_report import main\n"
+        f"assert main(['price-mc', '--config', {config!r}]) == 0\n"
+        f"assert main(['price-exact', '--config', {config!r}]) == 0\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    src = str(Path(cli_report.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"estimate"') == 2
 
 
 class TestOutputHandling:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
+from qdp.cli_report import load_benchmark_config
 from qdp.error_budget import riemann_pmax, truncation_error
 from qdp.market_model import (
     GBMParams,
@@ -15,6 +16,7 @@ from qdp.market_model import (
     cholesky_factor,
     lattice,
     sigma_max,
+    standard_normal_cells,
 )
 
 
@@ -117,6 +119,41 @@ class TestDensities:
             x = np.array([lat.coords[0, i], lat.coords[1, j]]) - params.step_means()
             density = math.exp(-0.5 * x @ inv @ x) / (2 * math.pi * math.sqrt(det))
             assert lat.step_pmf[i, j] == pytest.approx(density * volume, rel=1e-12)
+
+
+class TestScipyReference:
+    """The package computes normal densities without scipy.stats; these
+    tests keep scipy.stats as the reference they must reproduce."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("model", ["correlated d=2", "shipped d=3"])
+    def test_step_pmf_matches_multivariate_normal(self, model, n):
+        if model == "shipped d=3":
+            params = GBMParams.from_dict(load_benchmark_config("autocallable")["model"])
+        else:
+            params = make_params(
+                sigmas=(0.2, 0.4), rho=((1.0, 0.5), (0.5, 1.0)), s0=(1.0, 1.0)
+            )
+        grid = GridSpec(n=n, w=5.0)
+        lat = lattice(grid, params)
+        mesh = np.meshgrid(*lat.coords, indexing="ij")
+        points = np.stack([m.ravel() for m in mesh], axis=-1)
+        volume = np.prod(cell_midpoints(*grid.bounds(params), grid.n)[1])
+        density = multivariate_normal(
+            mean=params.step_means(), cov=build_covariance(params)
+        ).pdf(points)
+        expected = (density * volume).reshape(lat.step_pmf.shape)
+        np.testing.assert_allclose(lat.step_pmf, expected, rtol=1e-13, atol=0)
+
+    @given(
+        st.floats(min_value=0.1, max_value=40.0),
+        st.integers(min_value=1, max_value=10),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_standard_normal_cells_bit_identical_to_norm_pdf(self, w, n):
+        coords, masses = standard_normal_cells(w, n)
+        dx = cell_midpoints(-w, w, n)[1]
+        assert np.array_equal(masses, norm.pdf(coords) * dx)
 
 
 class TestLattice:

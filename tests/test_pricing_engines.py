@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 import qdp.pricing_engines as pe
 from qdp.cli_report import load_benchmark_config
@@ -650,3 +651,23 @@ class TestReparamDistribution:
 
 def test_black_scholes_zero_expiry_intrinsic():
     assert black_scholes_call(1.2, 1.0, 0.05, 0.2, 0.0) == pytest.approx(0.2)
+
+
+@given(
+    st.floats(min_value=0.01, max_value=1e3),
+    st.floats(min_value=0.01, max_value=1e3),
+    st.floats(min_value=-0.1, max_value=0.2),
+    st.floats(min_value=1e-3, max_value=2.0),
+    st.floats(min_value=1e-3, max_value=30.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_black_scholes_bit_identical_to_norm_cdf(s0, strike, r, sigma, expiry):
+    # scipy.stats stays the reference; the package calls ndtr directly.
+    d1 = (math.log(s0 / strike) + (r + 0.5 * sigma**2) * expiry) / (
+        sigma * math.sqrt(expiry)
+    )
+    d2 = d1 - sigma * math.sqrt(expiry)
+    expected = float(
+        s0 * norm.cdf(d1) - strike * math.exp(-r * expiry) * norm.cdf(d2)
+    )
+    assert black_scholes_call(s0, strike, r, sigma, expiry) == expected
