@@ -29,7 +29,7 @@ from . import (
     qarith_resources as qa,
 )
 from .contracts import AutocallableSpec, TARFSpec, contract_from_dict
-from .market_model import GBMParams, GridSpec, config_float, config_int
+from .market_model import GBMParams, GridSpec, config_float, config_int, config_list
 
 # Published values the table1 report compares against (same benchmarks,
 # target error 2e-3): (t_count, t_depth, logical_qubits) per method and
@@ -212,10 +212,9 @@ def _cmd_error_budget(doc: dict, digest: str, seed: int) -> dict:
 def _cmd_iqae_demo(doc: dict, digest: str, seed: int) -> dict:
     a = config_float(_get(doc, "a", 0.3), "a")
     alpha = config_float(_get(doc, "alpha", 0.32), "alpha")
-    epsilons = [
-        config_float(eps, "epsilons")
-        for eps in _get(doc, "epsilons", [1e-2, 3e-3, 1e-3, 3e-4])
-    ]
+    epsilons = config_list(
+        _get(doc, "epsilons", [1e-2, 3e-3, 1e-3, 3e-4]), "epsilons", config_float
+    )
     n_seeds = config_int(_get(doc, "n_seeds", 20), "n_seeds")
     rows = []
     for eps in epsilons:
@@ -239,7 +238,7 @@ def _cmd_iqae_demo(doc: dict, digest: str, seed: int) -> dict:
 
 def _cmd_train_loader(doc: dict, digest: str, seed: int) -> dict:
     n = config_int(_get(doc, "n", 4), "n")
-    depths = [config_int(L, "depths") for L in _get(doc, "depths", [2, 4, 6, 8])]
+    depths = config_list(_get(doc, "depths", [2, 4, 6, 8]), "depths", config_int)
     restarts = config_int(_get(doc, "restarts", 4), "restarts")
     w = config_float(_get(doc, "w", 5.0), "w")
     results = gl.train_sweep(n, depths, restarts=restarts, seed=seed, w=w)
@@ -258,7 +257,9 @@ def _cmd_train_loader(doc: dict, digest: str, seed: int) -> dict:
 
 def _cmd_qarith(doc: dict, digest: str, seed: int) -> dict:
     primitive = _get(doc, "primitive", "add")
-    n_values = [config_int(n, "n_values") for n in _get(doc, "n_values", range(8, 40, 2))]
+    n_values = config_list(
+        _get(doc, "n_values", list(range(8, 40, 2))), "n_values", config_int
+    )
     p = config_int(_get(doc, "p", 2), "p")
     k = config_int(_get(doc, "k", 3), "k")
     M = config_int(_get(doc, "M", 32), "M")

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .market_model import config_float, config_floats, config_list
+
 
 @dataclass(frozen=True)
 class PayoffBounds:
@@ -131,11 +133,11 @@ class AutocallableSpec:
     def from_dict(cls, doc: dict) -> "AutocallableSpec":
         _require_keys(doc, ("binaries", "k_put", "barrier", "notional", "barrier_dates"))
         return cls(
-            binaries=tuple(tuple(b) for b in doc["binaries"]),
-            k_put=float(doc["k_put"]),
-            barrier=float(doc["barrier"]),
-            notional=float(doc["notional"]),
-            barrier_dates=tuple(doc["barrier_dates"]),
+            binaries=tuple(config_list(doc["binaries"], "binaries", config_floats)),
+            k_put=config_float(doc["k_put"], "k_put"),
+            barrier=config_float(doc["barrier"], "barrier"),
+            notional=config_float(doc["notional"], "notional"),
+            barrier_dates=config_floats(doc["barrier_dates"], "barrier_dates"),
             basket=doc.get("basket", "worst_of"),
         )
 
@@ -197,13 +199,13 @@ class TARFSpec:
             doc, ("forward", "payment_times", "k_upper", "k_lower", "barrier", "alpha", "cap")
         )
         return cls(
-            forward=float(doc["forward"]),
-            payment_times=tuple(doc["payment_times"]),
-            k_upper=float(doc["k_upper"]),
-            k_lower=float(doc["k_lower"]),
-            barrier=float(doc["barrier"]),
-            alpha=float(doc["alpha"]),
-            cap=float(doc["cap"]),
+            forward=config_float(doc["forward"], "forward"),
+            payment_times=config_floats(doc["payment_times"], "payment_times"),
+            k_upper=config_float(doc["k_upper"], "k_upper"),
+            k_lower=config_float(doc["k_lower"], "k_lower"),
+            barrier=config_float(doc["barrier"], "barrier"),
+            alpha=config_float(doc["alpha"], "alpha"),
+            cap=config_float(doc["cap"], "cap"),
         )
 
 
@@ -234,7 +236,10 @@ def contract_from_dict(doc: dict):
         return TARFSpec.from_dict(doc)
     if kind == "european_call":
         _require_keys(doc, ("strike", "expiry"))
-        return EuropeanCallSpec(strike=float(doc["strike"]), expiry=float(doc["expiry"]))
+        return EuropeanCallSpec(
+            strike=config_float(doc["strike"], "strike"),
+            expiry=config_float(doc["expiry"], "expiry"),
+        )
     raise ValueError(f"unknown contract type: {kind!r}")
 
 

@@ -6,6 +6,15 @@ then L blocks of [CNOT ladder, Ry layer], for n(L+1) angles in total.
 All amplitudes stay real, so desk-scale statevector simulation works on
 plain float vectors.
 
+One kernel applies every Ry layer, forward and undone: a paired gather.
+For qubit q each amplitude v becomes c v + (+-s) v', where v' is its
+partner with bit q flipped, so a qubit costs one gather of [v, v'] by a
+cached 2^(n+1) index, one product with a row of cos/sin coefficients and
+one sum of the halves: the textbook update's arithmetic, bit for bit.
+The CNOT ladder is folded into the gather of each block's first qubit.
+``simulate_ansatz`` takes parameters of shape (..., n(L+1)) and returns
+states of shape (..., 2^n), each row equal to the single call.
+
 Training follows a two-phase schedule: quasi-Newton descent on the
 energy of a harmonic oscillator whose ground state is the target
 Gaussian (m = 1/(2 sigma^2)), then a refinement phase targeting the
@@ -19,8 +28,9 @@ undoes the gates on the state and on a stack of adjoint vectors together
 gives the quasi-Newton gradients; the 2^n unit adjoints give the full
 state Jacobian the minimax constraints need, a sweep that holds
 (2^n + 1) x 2^n floats (134 MB at ``MAX_QUBITS`` = 12).  Rotation angles
-can afterwards be digitized to a grid of 2 pi / M_digit with a local
-search, modeling discrete fault-tolerant gate synthesis.
+can afterwards be digitized to a grid of 2 pi / M_digit with a greedy
+local search, modeling discrete fault-tolerant gate synthesis; each pass
+simulates its remaining trials as one batch.
 """
 
 from __future__ import annotations
@@ -35,6 +45,11 @@ from scipy.optimize import minimize
 from .market_model import standard_normal_cells
 
 MAX_QUBITS = 12
+
+# Cap on the kernel coefficients of one ``digitize`` batch: (L + 1) * n *
+# 2^(n+1) floats per trial, so n = 4, L = 6 batches all 56 trials of a pass
+# and n = 12, L = 6 runs one trial at a time (8 MB).
+_DIGITIZE_BATCH_FLOATS = 2**20
 
 
 @dataclass(frozen=True)
@@ -55,6 +70,11 @@ class RyCnotAnsatz:
         return self.n * (self.L + 1)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @functools.lru_cache(maxsize=None)
 def _cnot_ladder_permutation(n: int) -> np.ndarray:
     """Basis permutation of the ladder CNOTs, qubit i-1 controlling i.
@@ -67,42 +87,103 @@ def _cnot_ladder_permutation(n: int) -> np.ndarray:
     for i in range(1, n):
         control = (idx >> (n - i)) & 1
         idx = np.where(control == 1, idx ^ (1 << (n - i - 1)), idx)
-    idx.flags.writeable = False
-    return idx
+    return _read_only(idx)
 
 
-def _apply_ry_layer(state: np.ndarray, angles: np.ndarray, n: int) -> np.ndarray:
-    """One Ry rotation per qubit on real statevectors along the last axis.
+@dataclass(frozen=True)
+class _PairedGathers:
+    """Index and sign tables of the paired-gather Ry kernel for one n.
 
-    Each qubit is one 2x2 contraction over its (before, qubit, after)
-    view; a new array is returned and ``state`` is left as it was.
+    With N = 2^n and bit_q = 2^(n-1-q) (qubit 0 the most significant bit):
+
+    - ``first[q]`` is the 2N gather [i, i ^ bit_q] over the basis i;
+    - ``entangled`` is ``first`` with the ladder's inverse permutation
+      composed into row 0, so a block's first qubit also applies its
+      CNOT ladder;
+    - ``signs[q, i]`` is -1 where bit q of i is 0 and +1 where it is 1.
+
+    All arrays are read-only.
     """
-    shape = state.shape
-    for q in range(n):
-        c, s = math.cos(angles[q] / 2.0), math.sin(angles[q] / 2.0)
-        view = state.reshape(-1, 2, 2 ** (n - q - 1))
-        state = np.einsum("ij,ajb->aib", np.array([[c, -s], [s, c]]), view)
-    return state.reshape(shape)
+
+    first: np.ndarray
+    entangled: np.ndarray
+    signs: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _paired_gathers(n: int) -> _PairedGathers:
+    N = 2**n
+    idx = np.arange(N)
+    bits = (1 << (n - 1 - np.arange(n)))[:, None]
+    first = np.concatenate([np.broadcast_to(idx, (n, N)), idx ^ bits], axis=1)
+    inverse = np.argsort(_cnot_ladder_permutation(n))
+    entangled = first.copy()
+    entangled[0] = inverse[first[0]]
+    signs = np.where(idx & bits, 1.0, -1.0)
+    return _PairedGathers(
+        _read_only(first), _read_only(entangled), _read_only(signs)
+    )
+
+
+def _layer_coefficients(layers: np.ndarray) -> np.ndarray:
+    """Per-qubit kernel rows [c, ..., c, +-s, ..., +-s] for stacked angles.
+
+    ``layers`` has shape (..., B, n) for B layers of n angles.  The result
+    has shape (B, n, 2^(n+1), ...): one row per (layer, qubit) with
+    c = cos(theta/2) in its first half and signs[q] * sin(theta/2) in its
+    second, and the leading batch axes of ``layers`` moved last.
+    """
+    k = layers.ndim - 2
+    half = (layers / 2.0).transpose((k, k + 1) + tuple(range(k)))[:, :, None]
+    signs = _paired_gathers(layers.shape[-1]).signs
+    N = signs.shape[-1]
+    signs = signs.reshape(signs.shape + (1,) * (half.ndim - 3))
+    coefs = np.empty(half.shape[:2] + (2 * N,) + half.shape[3:])
+    coefs[:, :, :N] = np.cos(half)
+    np.multiply(np.sin(half), signs, out=coefs[:, :, N:])
+    return coefs
+
+
+def _apply_ry_layer(state: np.ndarray, coefs: np.ndarray, gathers) -> np.ndarray:
+    """One Ry rotation per qubit on real statevectors along the first axis.
+
+    Qubit q maps every amplitude v to c v + (+-s) v', where v' is its
+    partner with bit q flipped: one gather of [v, v'] by ``gathers[q]``,
+    one product with the row ``coefs[q]`` of ``_layer_coefficients`` and
+    one sum of the halves.  These are the textbook update's two products
+    and one sum, so the amplitudes are bit-identical to it.  ``state`` has
+    shape (2^n, ...) and the rows broadcast against (2^(n+1), ...).  A new
+    array is returned and ``state`` is left as it was.
+    """
+    N = state.shape[0]
+    for gather, row in zip(gathers, coefs):
+        pairs = state.take(gather, axis=0)
+        pairs *= row
+        state = pairs[:N] + pairs[N:]
+    return state
 
 
 def simulate_ansatz(ansatz: RyCnotAnsatz, params: np.ndarray) -> np.ndarray:
-    """Real statevector U(theta)|0...0> of the Ry-CNOT ansatz."""
+    """Real statevectors U(theta)|0...0> of the Ry-CNOT ansatz.
+
+    ``params`` of shape (..., n_params) gives states of shape (..., 2^n);
+    each row equals the single call on that row bit for bit.
+    """
     params = np.asarray(params, dtype=float)
-    if params.size != ansatz.n_params:
+    if params.shape[-1:] != (ansatz.n_params,):
         raise ValueError(
-            f"expected {ansatz.n_params} parameters, got {params.size}"
+            f"expected {ansatz.n_params} parameters, got shape {params.shape}"
         )
     n = ansatz.n
-    layers = params.reshape(ansatz.L + 1, n)
-    state = np.zeros(2**n)
+    batch = params.shape[:-1]
+    coefs = _layer_coefficients(params.reshape(batch + (ansatz.L + 1, n)))
+    gathers = _paired_gathers(n)
+    state = np.zeros((2**n,) + batch)
     state[0] = 1.0
-    perm = _cnot_ladder_permutation(n)
-    state = _apply_ry_layer(state, layers[0], n)
+    state = _apply_ry_layer(state, coefs[0], gathers.first)
     for block in range(1, ansatz.L + 1):
-        permuted = np.empty_like(state)
-        permuted[perm] = state
-        state = _apply_ry_layer(permuted, layers[block], n)
-    return state
+        state = _apply_ry_layer(state, coefs[block], gathers.entangled)
+    return state.transpose(tuple(range(1, state.ndim)) + (0,))
 
 
 def _backward_sweep(
@@ -112,28 +193,37 @@ def _backward_sweep(
 
     ``psi`` is the ansatz state at ``params`` and ``adjoints`` a (k, 2^n)
     stack of row vectors.  The sweep walks the blocks in reverse with psi
-    and the adjoints stacked.  Right after a layer, d psi / d theta_q is
-    half the generator [[0, -1], [1, 0]] on qubit q applied to psi (the
-    layer's rotations commute), so one product of the adjoints with these
-    n derivative vectors gives the block's entries.  Undoing the layer
-    (angles -theta) and the CNOT permutation moves the whole stack to the
-    previous block.  The 2^n unit adjoints give J itself, holding
+    and the adjoints side by side, as the columns of a (2^n, k + 1) array.
+    Right after a layer, d psi / d theta_q is half the generator
+    [[0, -1], [1, 0]] on qubit q applied to psi (the layer's rotations
+    commute): entry i is 0.5 * signs[q, i] * psi[i ^ bit_q], so one gather
+    of psi gives all n derivative vectors, and one product of the adjoints
+    with them gives the block's entries.  Undoing the layer (the same
+    kernel at angles -theta) and the CNOT permutation moves every column
+    to the previous block.  The 2^n unit adjoints give J itself, holding
     (2^n + 1) * 2^n floats at once: 134 MB at ``MAX_QUBITS``.
     """
     n = ansatz.n
+    N = psi.size
     layers = np.asarray(params, dtype=float).reshape(ansatz.L + 1, n)
-    stack = np.vstack([psi, adjoints])
+    undo = _layer_coefficients(-layers)[..., None]
+    gathers = _paired_gathers(n)
+    flips = gathers.first[:, N:]
+    half_signs = 0.5 * gathers.signs
     perm = _cnot_ladder_permutation(n)
     rows = np.empty((len(adjoints), ansatz.L + 1, n))
-    half_generator = np.array([[-0.5], [0.5]])  # on (v1, v0): (-v1, v0) / 2
-    derivatives = np.empty((n, psi.size))
-    for block in range(ansatz.L, -1, -1):
-        for q in range(n):
-            v = stack[0].reshape(-1, 2, 2 ** (n - q - 1))
-            derivatives[q] = (v[:, ::-1] * half_generator).ravel()
-        rows[:, block] = stack[1:] @ derivatives.T
-        if block:
-            stack = _apply_ry_layer(stack, -layers[block], n)[:, perm]
+    # BLAS picks its summation order by the operands' memory layout, so the
+    # layouts here are part of the result's bits: the last block reads the
+    # adjoints as rows, every earlier one as the columns of ``columns``.
+    stack = np.vstack([psi, adjoints])
+    rows[:, -1] = stack[1:] @ (half_signs * psi.take(flips)).T
+    columns = stack.T
+    for block in range(ansatz.L, 0, -1):
+        columns = _apply_ry_layer(columns, undo[block], gathers.first).take(
+            perm, axis=0
+        )
+        derivatives = half_signs * columns[:, 0].take(flips)
+        rows[:, block - 1] = columns[:, 1:].T @ derivatives.T
     return rows.reshape(len(adjoints), -1)
 
 
@@ -147,11 +237,6 @@ def _loss_and_gradient(params: np.ndarray, ansatz: RyCnotAnsatz, loss_grad):
     psi = simulate_ansatz(ansatz, params)
     loss, g = loss_grad(psi)
     return loss, _backward_sweep(ansatz, params, psi, g[None])[0]
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True)
@@ -412,8 +497,15 @@ def digitize(
 ) -> dict:
     """Snap angles to the grid 2 pi i / M_digit, then local-search on the grid.
 
-    The search sweeps coordinates, trying one grid step in each
-    direction, until a full pass makes no improvement (bounded passes).
+    The search sweeps coordinates, trying one grid step in each direction
+    and keeping a trial that improves the loss, until a full pass makes no
+    improvement (bounded passes).  The pass's remaining trials are
+    simulated as one batch (at most ``_DIGITIZE_BATCH_FLOATS`` kernel
+    coefficients); the first improving trial in sweep order is accepted
+    and the trials after it are batched again from the new angles, so the
+    result equals the one-trial-at-a-time search bit for bit.  Each trial
+    is a copy of the angles with one coordinate stepped, which keeps
+    every other angle's bits, -0.0 included.
 
     Returns the digitized parameters and the resulting infinity-norm.
     """
@@ -424,21 +516,31 @@ def digitize(
 
     masses = target.masses
 
-    def loss(t):
-        return _linf(simulate_ansatz(ansatz, t), masses)
+    def losses(trials):
+        states = simulate_ansatz(ansatz, trials)
+        return np.max(np.abs(masses - states**2), axis=-1)
 
-    current = loss(theta)
+    current = float(losses(theta[None])[0])
+    coords = np.repeat(np.arange(theta.size), 2)
+    deltas = np.tile([step, -step], theta.size)
+    width = (ansatz.L + 1) * ansatz.n * 2 ** (ansatz.n + 1)
+    batch = max(1, _DIGITIZE_BATCH_FLOATS // width)
     for _ in range(50):
         improved = False
-        for i in range(theta.size):
-            for delta in (step, -step):
-                trial = theta.copy()
-                trial[i] += delta
-                val = loss(trial)
-                if val < current - 1e-15:
-                    theta, current = trial, val
-                    improved = True
+        start = 0
+        while start < coords.size:
+            stop = min(start + batch, coords.size)
+            trials = np.repeat(theta[None], stop - start, axis=0)
+            trials[np.arange(stop - start), coords[start:stop]] += deltas[start:stop]
+            vals = losses(trials)
+            better = np.flatnonzero(vals < current - 1e-15)
+            if better.size:
+                first = int(better[0])
+                theta, current = trials[first].copy(), float(vals[first])
+                improved = True
+                start += first + 1
+            else:
+                start = stop
         if not improved:
             break
     return {"params": theta, "l_inf": current}
-

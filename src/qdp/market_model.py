@@ -45,6 +45,20 @@ def config_float(value, key: str) -> float:
     raise ValueError(f"config key '{key}' must be a finite number, got {value!r}")
 
 
+def config_list(value, key: str, read) -> list:
+    """``value`` as the list ``[read(item, key) for item in value]`` if it is
+    a list; any other value (a number, a string, a mapping) raises a
+    ValueError that names ``key``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"config key '{key}' must be a list, got {value!r}")
+    return [read(item, key) for item in value]
+
+
+def config_floats(value, key: str) -> tuple[float, ...]:
+    """``value`` as a tuple of ``config_float`` items (see ``config_list``)."""
+    return tuple(config_list(value, key, config_float))
+
+
 @dataclass(frozen=True)
 class GBMParams:
     """Market model parameters for d correlated GBM assets.
@@ -124,12 +138,12 @@ class GBMParams:
         if missing:
             raise ValueError(f"model config missing keys: {sorted(missing)}")
         params = cls(
-            r=float(doc["r"]),
-            sigmas=tuple(doc["sigmas"]),
-            rho=tuple(tuple(row) for row in doc["rho"]),
-            dt=float(doc["dt"]),
+            r=config_float(doc["r"], "r"),
+            sigmas=config_floats(doc["sigmas"], "sigmas"),
+            rho=tuple(config_list(doc["rho"], "rho", config_floats)),
+            dt=config_float(doc["dt"], "dt"),
             n_steps=config_int(doc["T"], "T"),
-            s0=tuple(doc["s0"]),
+            s0=config_floats(doc["s0"], "s0"),
         )
         if "d" in doc and config_int(doc["d"], "d") != params.d:
             raise ValueError("declared asset count d disagrees with sigmas length")

@@ -416,6 +416,106 @@ class TestFloatKeys:
         assert reports[0] == reports[1]
 
 
+class TestModelAndContractKeys:
+    """Numeric model and contract keys take finite numbers only, list keys
+    lists only; anything else exits 2 with a message naming the key."""
+
+    @staticmethod
+    def base(contract_type, tmp_path):
+        doc = json.loads(Path(small_pricing_config(tmp_path)).read_text())
+        if contract_type == "tarf":
+            doc["model"]["s0"] = [20.0]
+            doc["contract"] = {
+                "type": "tarf", "forward": 20.0, "k_upper": 21.0, "k_lower": 19.0,
+                "barrier": 25.0, "alpha": 2.0, "cap": 3.0,
+                "payment_times": [1.0 / 3.0, 2.0 / 3.0, 1.0],
+            }
+        elif contract_type == "european_call":
+            doc["contract"] = {"type": "european_call", "strike": 1.0, "expiry": 1.0}
+        return doc
+
+    @pytest.mark.parametrize(
+        "contract_type, key, value",
+        [
+            ("autocallable", "model.r", "0.02"),
+            ("autocallable", "model.dt", True),
+            ("autocallable", "model.sigmas", ["0.3"]),
+            ("autocallable", "model.s0", [float("nan")]),
+            ("autocallable", "model.rho", [["1.0"]]),
+            ("autocallable", "contract.k_put", "1.0"),
+            ("autocallable", "contract.barrier", float("inf")),
+            ("autocallable", "contract.notional", "18"),
+            ("autocallable", "contract.binaries", [[1.1, "1", 2.0]]),
+            ("autocallable", "contract.barrier_dates", ["1.0"]),
+            ("tarf", "contract.forward", "20"),
+            ("tarf", "contract.k_upper", False),
+            ("tarf", "contract.k_lower", "19"),
+            ("tarf", "contract.barrier", float("nan")),
+            ("tarf", "contract.alpha", "2"),
+            ("tarf", "contract.cap", "3"),
+            ("tarf", "contract.payment_times", ["1.0"]),
+            ("european_call", "contract.strike", "1.0"),
+            ("european_call", "contract.expiry", True),
+        ],
+    )
+    def test_non_number_rejected(self, tmp_path, capsys, contract_type, key, value):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(_set(self.base(contract_type, tmp_path), key, value)))
+        code, out, err = run_cli(capsys, "price-mc", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"config key '{key.split('.', 1)[1]}' must be a finite number" in err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("price-mc", "model.sigmas", 0.3),
+            ("price-mc", "model.rho", [1.0]),
+            ("price-mc", "contract.binaries", [1.1, 1.0, 2.0]),
+            ("price-mc", "contract.barrier_dates", 1.0),
+            ("iqae-demo", "epsilons", 0.01),
+            ("train-loader", "depths", 2),
+            ("qarith", "n_values", 8),
+        ],
+    )
+    def test_scalar_list_key_rejected(self, tmp_path, capsys, command, key, value):
+        base = {
+            "price-mc": self.base("autocallable", tmp_path),
+            "iqae-demo": {"n_seeds": 2},
+            "train-loader": {"n": 2, "restarts": 1},
+            "qarith": {},
+        }[command]
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(_set(base, key, value)))
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"config key '{key.split('.')[-1]}' must be a list" in err
+
+    @pytest.mark.parametrize("contract_type", ["autocallable", "tarf", "european_call"])
+    def test_integer_values_price_identically(self, tmp_path, capsys, contract_type):
+        # JSON integers read as the same floats, so the seeded price is the same.
+        reports = []
+        for name in ("floats", "ints"):
+            doc = self.base(contract_type, tmp_path)
+            if name == "ints":
+                doc["model"]["s0"] = [int(s) for s in doc["model"]["s0"]]
+                doc["model"]["rho"] = [[1]]
+                if contract_type == "tarf":
+                    doc["contract"].update(forward=20, k_upper=21, barrier=25, cap=3)
+                elif contract_type == "european_call":
+                    doc["contract"].update(strike=1, expiry=1)
+                else:
+                    doc["contract"].update(k_put=1, notional=18)
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, "price-mc", "--config", str(config))
+            assert code == 0, err
+            reports.append(json.loads(out))
+        assert reports[0]["estimate"] == reports[1]["estimate"]
+        assert reports[0]["stderr"] == reports[1]["stderr"]
+
+
 def test_pricing_runs_without_scipy_stats(tmp_path):
     # A fresh interpreter: importing the CLI and pricing must not load
     # scipy.stats, which only the IQAE simulator needs.

@@ -84,6 +84,28 @@ class TestAnsatz:
             theta = rng.uniform(-math.pi, math.pi, ansatz.n_params)
             assert np.array_equal(simulate_ansatz(ansatz, theta), reference(theta))
 
+    @pytest.mark.parametrize("n,L", [(1, 0), (3, 2), (4, 6)])
+    def test_batched_rows_match_single_calls(self, n, L):
+        ansatz = RyCnotAnsatz(n=n, L=L)
+        rng = np.random.default_rng(n + L)
+        batch = rng.uniform(-2 * math.pi, 2 * math.pi, (3, 4, ansatz.n_params))
+        batch[0, 0] = -0.0
+        batch[1, :, ::2] = -0.0
+        batch[2, 1, -1] = 0.0
+        states = simulate_ansatz(ansatz, batch)
+        assert states.shape == (3, 4, 2**n)
+        for index in np.ndindex(3, 4):
+            single = simulate_ansatz(ansatz, batch[index])
+            assert single.shape == (2**n,)
+            assert states[index].tobytes() == single.tobytes()
+
+    def test_gather_tables_are_cached_and_read_only(self):
+        gathers = gl._paired_gathers(3)
+        assert gathers is gl._paired_gathers(3)
+        for table in (gathers.first, gathers.entangled, gathers.signs):
+            with pytest.raises(ValueError):
+                table.flat[0] = 1
+
     def test_cnot_permutation_cache_is_read_only(self):
         perm = gl._cnot_ladder_permutation(3)
         assert perm is gl._cnot_ladder_permutation(3)
@@ -165,6 +187,44 @@ class TestAdjointGradient:
         jac = gl._backward_sweep(ansatz, theta, psi, np.eye(2**n))
         grad = gl._loss_and_gradient(theta, ansatz, loss_grad)[1]
         assert grad == pytest.approx(g @ jac, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("n,L", [(1, 0), (3, 2), (4, 6), (5, 6), (7, 3)])
+    def test_matches_einsum_sweep(self, n, L):
+        # The per-qubit einsum sweep the paired-gather kernel replaced: the
+        # Jacobian and gradients must not move by a bit.
+        def einsum_layer(state, angles):
+            shape = state.shape
+            for q in range(n):
+                c, s = math.cos(angles[q] / 2.0), math.sin(angles[q] / 2.0)
+                view = state.reshape(-1, 2, 2 ** (n - q - 1))
+                state = np.einsum("ij,ajb->aib", np.array([[c, -s], [s, c]]), view)
+            return state.reshape(shape)
+
+        def einsum_sweep(params, psi, adjoints):
+            layers = params.reshape(L + 1, n)
+            stack = np.vstack([psi, adjoints])
+            perm = gl._cnot_ladder_permutation(n)
+            rows = np.empty((len(adjoints), L + 1, n))
+            half_generator = np.array([[-0.5], [0.5]])
+            derivatives = np.empty((n, psi.size))
+            for block in range(L, -1, -1):
+                for q in range(n):
+                    v = stack[0].reshape(-1, 2, 2 ** (n - q - 1))
+                    derivatives[q] = (v[:, ::-1] * half_generator).ravel()
+                rows[:, block] = stack[1:] @ derivatives.T
+                if block:
+                    stack = einsum_layer(stack, -layers[block])[:, perm]
+            return rows.reshape(len(adjoints), -1)
+
+        ansatz = RyCnotAnsatz(n=n, L=L)
+        rng = np.random.default_rng(10 * n + L)
+        for _ in range(3):
+            theta = rng.uniform(-2 * math.pi, 2 * math.pi, ansatz.n_params)
+            psi = simulate_ansatz(ansatz, theta)
+            for adjoints in (np.eye(2**n), rng.normal(size=(1, 2**n)),
+                             rng.normal(size=(3, 2**n))):
+                new = gl._backward_sweep(ansatz, theta, psi, adjoints)
+                assert new.tobytes() == einsum_sweep(theta, psi, adjoints).tobytes()
 
     def test_no_entangler_gradient_is_per_qubit(self):
         # L = 0 has no permutation: the state is a product of single-qubit
@@ -335,3 +395,45 @@ class TestDigitize:
         with pytest.raises(ValueError):
             digitize(np.zeros(6), 2, RyCnotAnsatz(n=3, L=1), LoaderTarget(n=3))
 
+    @pytest.mark.parametrize("n,L,seed", [(3, 2, 0), (4, 6, 1)])
+    @pytest.mark.parametrize("M", [16, 1_000, 100_000])
+    @pytest.mark.parametrize("batch_floats", [None, 3])
+    def test_matches_sequential_search(self, n, L, seed, M, batch_floats, monkeypatch):
+        # The one-trial-at-a-time search the batched one replaced, from a
+        # start whose small negative angles snap to -0.0.
+        def sequential(params):
+            step = 2.0 * math.pi / M
+            theta = np.round(np.asarray(params, dtype=float) / step) * step
+
+            def loss(t):
+                return linf_loss(simulate_ansatz(ansatz, t), target)
+
+            current = loss(theta)
+            for _ in range(50):
+                improved = False
+                for i in range(theta.size):
+                    for delta in (step, -step):
+                        trial = theta.copy()
+                        trial[i] += delta
+                        val = loss(trial)
+                        if val < current - 1e-15:
+                            theta, current = trial, val
+                            improved = True
+                if not improved:
+                    break
+            return theta, current
+
+        ansatz = RyCnotAnsatz(n=n, L=L)
+        target = LoaderTarget(n=n)
+        if batch_floats is not None:
+            # Three trials per batch, so a pass spans several batches.
+            width = (L + 1) * n * 2 ** (n + 1)
+            monkeypatch.setattr(gl, "_DIGITIZE_BATCH_FLOATS", batch_floats * width)
+        params = train(n, L, restarts=1, seed=seed).best_params.copy()
+        params[::3] = -1e-9
+        assert np.signbit(np.round(params / (2.0 * math.pi / M))[::3]).all()
+        theta, current = sequential(params)
+        out = digitize(params, M, ansatz, target)
+        assert out["params"].tobytes() == theta.tobytes()
+        assert type(out["l_inf"]) is float
+        assert out["l_inf"].hex() == current.hex()
