@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .market_model import standard_normal_cells
 
@@ -68,6 +67,14 @@ class RyCnotAnsatz:
     @property
     def n_params(self) -> int:
         return self.n * (self.L + 1)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use so that importing
+    qdp, pricing and estimating never load ``scipy.optimize``."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 
 def config_int(value, key: str) -> int:
@@ -92,6 +91,16 @@ class GBMParams:
         object.__setattr__(
             self, "rho", tuple(tuple(float(x) for x in row) for row in self.rho)
         )
+        fields = {
+            "r": (self.r,),
+            "dt": (self.dt,),
+            "sigmas": self.sigmas,
+            "s0": self.s0,
+            "rho": tuple(x for row in self.rho for x in row),
+        }
+        for name, values in fields.items():
+            if not all(math.isfinite(x) for x in values):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         d = len(self.sigmas)
         rho = np.asarray(self.rho, dtype=float)
         if d == 0:
@@ -275,7 +284,11 @@ def lattice(grid: GridSpec, params: GBMParams) -> Lattice:
     coords, dx = cell_midpoints(*grid.bounds(params), grid.n)
     mesh = np.meshgrid(*coords, indexing="ij")
     dev = np.stack([m.ravel() for m in mesh]) - params.step_means()[:, None]
-    white = solve_triangular(chol, dev, lower=True)
+    # Forward substitution L white = dev, one row per asset.  Multiplying by
+    # the reciprocal diagonal gives solve_triangular's bits for a diagonal L.
+    white = np.empty_like(dev)
+    for i in range(params.d):
+        white[i] = (dev[i] - chol[i, :i] @ white[:i]) * (1.0 / chol[i, i])
     logpdf = -0.5 * (np.sum(white**2, axis=0) + params.d * math.log(2 * math.pi))
     logpdf -= np.sum(np.log(np.diag(chol)))
     log_volume = float(np.sum(np.log(dx)))

@@ -103,7 +103,8 @@ def _resolve_dates(params: GBMParams, contract):
     """A contract's dates as step columns, resolved once per engine call.
 
     Returns ``_autocall_columns`` for an autocallable and the payment
-    columns for a TARF; a European call observes only its horizon (None).
+    columns for a TARF; a European call observes only its horizon (None),
+    which its expiry must match within ``DATE_TOLERANCE``.
     """
     times = params.dt * np.arange(1, params.n_steps + 1)
     if isinstance(contract, AutocallableSpec):
@@ -121,6 +122,13 @@ def _resolve_dates(params: GBMParams, contract):
     if isinstance(contract, EuropeanCallSpec):
         if params.d != 1:
             raise ValueError("European call evaluation requires a single underlying")
+        # Paths end at the horizon; another expiry would be discounted at the
+        # wrong time.
+        if abs(contract.expiry - params.horizon) > contracts.DATE_TOLERANCE:
+            raise ValueError(
+                f"call expiry {contract.expiry} is not the model horizon "
+                f"dt * T = {params.horizon}"
+            )
         return None
     raise TypeError(f"unsupported contract type {type(contract).__name__}")
 

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,3 +109,29 @@ class TestIqaeEstimate:
             iqae_estimate(GroverOracleSim(a=0.3), 0.0, 0.32)
         with pytest.raises(ValueError):
             iqae_estimate(GroverOracleSim(a=0.3), 1e-3, 0.0)
+
+
+class TestGoldenIqae:
+    """Seeded ``iqae_estimate`` results, pinned bit for bit: a change to the
+    quantile computation or the round loop must keep every one of them."""
+
+    GOLDEN = json.loads(
+        (Path(__file__).parent / "data" / "seeded_iqae.json").read_text("utf-8")
+    )
+
+    @pytest.mark.parametrize(
+        "case",
+        GOLDEN["cases"],
+        ids=lambda case: f"eps={case['epsilon']}-a={case['a']}-seed={case['seed']}",
+    )
+    def test_seeded_results(self, case):
+        result = iqae_estimate(
+            GroverOracleSim(a=case["a"]),
+            case["epsilon"],
+            self.GOLDEN["alpha"],
+            seed=case["seed"],
+        )
+        assert result.a_hat.hex() == case["a_hat"]
+        assert [end.hex() for end in result.interval] == case["interval"]
+        assert result.oracle_calls == case["oracle_calls"]
+        assert result.rounds == case["rounds"]

@@ -106,6 +106,17 @@ class TestPricingCommands:
         assert code == 2
         assert "forward induction at n=5, d=3, T=20" in err
 
+    @pytest.mark.parametrize("command", ["price-mc", "price-exact"])
+    def test_call_expiry_off_the_horizon_is_config_error(self, tmp_path, capsys, command):
+        doc = json.loads(Path(small_pricing_config(tmp_path)).read_text())
+        doc["contract"] = {"type": "european_call", "strike": 1.0, "expiry": 5.0}
+        config = tmp_path / "call.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "call expiry 5.0 is not the model horizon dt * T = 1.0" in err
+
     def test_config_required(self, capsys):
         code, _, err = run_cli(capsys, "price-mc")
         assert code == 2
@@ -516,16 +527,26 @@ class TestModelAndContractKeys:
         assert reports[0]["stderr"] == reports[1]["stderr"]
 
 
-def test_pricing_runs_without_scipy_stats(tmp_path):
-    # A fresh interpreter: importing the CLI and pricing must not load
-    # scipy.stats, which only the IQAE simulator needs.
+def test_pricing_and_estimates_load_numpy_and_scipy_special_only(tmp_path):
+    # A fresh interpreter: importing the CLI, pricing, table1 and estimates
+    # must not load scipy.stats (the IQAE simulator's), scipy.optimize
+    # (loader training's) or scipy.linalg.  Training then loads
+    # scipy.optimize, which shows the check sees a lazy import.
     config = small_pricing_config(tmp_path, paths=3000)
+    estimate = resources.files("qdp.configs").joinpath("autocallable_benchmark.json")
     script = (
         "import sys\n"
         "from qdp.cli_report import main\n"
         f"assert main(['price-mc', '--config', {config!r}]) == 0\n"
         f"assert main(['price-exact', '--config', {config!r}]) == 0\n"
-        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+        "assert main(['table1']) == 0\n"
+        f"assert main(['estimate-resources', '--config', {str(estimate)!r}]) == 0\n"
+        "unwanted = ('scipy.stats', 'scipy.optimize', 'scipy.linalg')\n"
+        "loaded = [name for name in unwanted if name in sys.modules]\n"
+        "assert not loaded, f'loaded {loaded}'\n"
+        "from qdp.gaussian_loader import train\n"
+        "train(2, 1, restarts=1)\n"
+        "assert 'scipy.optimize' in sys.modules\n"
     )
     src = str(Path(cli_report.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -535,6 +556,8 @@ def test_pricing_runs_without_scipy_stats(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count('"estimate"') == 2
+    assert proc.stdout.count('"rows"') == 1
+    assert proc.stdout.count('"total_t_depth"') == 1
 
 
 class TestOutputHandling:

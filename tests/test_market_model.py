@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal, norm
 
 from qdp.cli_report import load_benchmark_config
@@ -39,6 +40,21 @@ class TestGBMParams:
             make_params(sigmas=(0.2, 0.3), rho=((1.0, 0.5), (0.4, 1.0)), s0=(1.0, 1.0))
         with pytest.raises(ValueError):
             make_params(n_steps=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["r", "sigmas", "rho", "dt", "s0"])
+    def test_rejects_non_finite_values(self, field, value):
+        non_finite = {
+            "r": value,
+            "sigmas": (0.2, value),
+            "rho": ((1.0, value), (value, 1.0)),
+            "dt": value,
+            "s0": (value, 1.0),
+        }
+        args = {"sigmas": (0.2, 0.3), "rho": ((1.0, 0.0), (0.0, 1.0)), "s0": (1.0, 1.0)}
+        args[field] = non_finite[field]
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make_params(**args)
 
     def test_step_means(self):
         params = make_params(r=0.05, sigmas=(0.2,), dt=0.5)
@@ -122,8 +138,9 @@ class TestDensities:
 
 
 class TestScipyReference:
-    """The package computes normal densities without scipy.stats; these
-    tests keep scipy.stats as the reference they must reproduce."""
+    """The package computes normal densities without scipy.stats and
+    whitens without scipy.linalg; these tests keep both as the references
+    they must reproduce."""
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("model", ["correlated d=2", "shipped d=3"])
@@ -144,6 +161,72 @@ class TestScipyReference:
         ).pdf(points)
         expected = (density * volume).reshape(lat.step_pmf.shape)
         np.testing.assert_allclose(lat.step_pmf, expected, rtol=1e-13, atol=0)
+
+    @staticmethod
+    def solve_triangular_pmf(grid, params):
+        """``lattice``'s step pmf with the whitening done by
+        ``scipy.linalg.solve_triangular``, the reference for its forward
+        substitution."""
+        chol = cholesky_factor(build_covariance(params))
+        coords, dx = cell_midpoints(*grid.bounds(params), grid.n)
+        mesh = np.meshgrid(*coords, indexing="ij")
+        dev = np.stack([m.ravel() for m in mesh]) - params.step_means()[:, None]
+        white = solve_triangular(chol, dev, lower=True)
+        logpdf = -0.5 * (np.sum(white**2, axis=0) + params.d * math.log(2 * math.pi))
+        logpdf -= np.sum(np.log(np.diag(chol)))
+        pmf = np.exp(logpdf + float(np.sum(np.log(dx))))
+        return pmf.reshape((2**grid.n,) * params.d)
+
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda d: st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)
+        ),
+        st.floats(-0.1, 0.2),
+        st.floats(0.001, 2.0),
+        st.floats(1.0, 8.0),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_step_pmf_bit_equal_to_solve_triangular_for_diagonal_factors(
+        self, sigmas, r, dt, w, n
+    ):
+        params = make_params(r=r, sigmas=tuple(sigmas), dt=dt)
+        grid = GridSpec(n=n, w=w)
+        assert np.array_equal(
+            lattice(grid, params).step_pmf, self.solve_triangular_pmf(grid, params)
+        )
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("contract", ["autocallable", "tarf"])
+    def test_shipped_step_pmf_bit_equal_to_solve_triangular(self, contract, n):
+        params = GBMParams.from_dict(load_benchmark_config(contract)["model"])
+        grid = GridSpec(n=n, w=5.0)
+        assert np.array_equal(
+            lattice(grid, params).step_pmf, self.solve_triangular_pmf(grid, params)
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_correlated_step_pmf_matches_solve_triangular(self, seed):
+        rng = np.random.default_rng(seed)
+        d = 2 + seed % 2
+        factor = rng.normal(size=(d, d))
+        cov = factor @ factor.T + 0.1 * np.eye(d)
+        scale = np.sqrt(np.diag(cov))
+        rho = tuple(map(tuple, cov / np.outer(scale, scale)))
+        params = make_params(
+            r=0.02, sigmas=tuple(rng.uniform(0.05, 0.6, d)), rho=rho, dt=0.05
+        )
+        grid = GridSpec(n=5 if d == 2 else 3, w=5.0)
+        pmf = lattice(grid, params).step_pmf
+        expected = self.solve_triangular_pmf(grid, params)
+        # The whitened deviations move by ulps, so the log-density moves by a
+        # few ulps of its own size: 1e-13 relative wherever the pmf exceeds
+        # about 1e-24, more in far tails (some of these models pass 1e-13 in
+        # cells below 1e-63).
+        assert np.array_equal(pmf == 0, expected == 0)
+        live = expected > 0
+        bound = 8 * np.finfo(float).eps * (1 + np.abs(np.log(expected[live])))
+        assert np.all(np.abs(pmf[live] / expected[live] - 1) <= bound)
 
     @given(
         st.floats(min_value=0.1, max_value=40.0),

@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 from pathlib import Path
@@ -397,6 +398,25 @@ class TestExactLattice:
             mc_price(params, contract, 100, seed=0)
         with pytest.raises(ValueError, match="0.7"):
             exact_lattice_price(params, contract, GridSpec(n=2, w=5.0))
+
+    @pytest.mark.parametrize("expiry", [5.0, 1.5, 2.0 + 1e-8])
+    def test_call_expiry_off_the_horizon_rejected(self, expiry):
+        # T=2, dt=1: paths end at 2, so another expiry would be priced at 2
+        # and discounted at the expiry.
+        params = small_params(dt=1.0, n_steps=2)
+        contract = EuropeanCallSpec(strike=1.0, expiry=expiry)
+        message = re.escape(f"call expiry {expiry} is not the model horizon dt * T = 2.0")
+        with pytest.raises(ValueError, match=message):
+            mc_price(params, contract, 100, seed=0)
+        with pytest.raises(ValueError, match=message):
+            exact_lattice_price(params, contract, GridSpec(n=2, w=5.0))
+
+    def test_call_expiry_within_date_tolerance_prices(self):
+        params = small_params(dt=0.1, n_steps=3)
+        assert params.horizon != 0.3
+        contract = EuropeanCallSpec(strike=1.0, expiry=0.3)
+        assert mc_price(params, contract, 100, seed=0).estimate > 0
+        assert exact_lattice_price(params, contract, GridSpec(n=2, w=5.0)).price > 0
 
 
 @st.composite
