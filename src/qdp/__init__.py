@@ -4,7 +4,7 @@ Quantum derivative pricing: resource estimation and classical verification.
 Submodules
 ----------
 market_model
-    Correlated GBM parameters, the grid convention and the return lattice.
+    Correlated GBM parameters, the grid convention and the step law.
 contracts
     Autocallable and TARF term sheets with classical payoff evaluation.
 pricing_engines

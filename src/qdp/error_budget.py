@@ -83,8 +83,8 @@ def discretization_error(
 
     Bound: beta * (2 w sigma_max)^{dT+2} / (24 * 2^{2n}) where beta bounds
     the integrand's second derivatives and n is the per-register width.
-    sigma_max bounds every per-asset box half-width of ``GridSpec.bounds``
-    over w, so the bound stays conservative.
+    sigma_max bounds every asset's marginal standard deviation
+    sqrt(Sigma_jj), the return-space scale of one register's [-w, w].
     """
     exponent = d * T + 2
     return beta * (2 * w * sigma_max) ** exponent / (24.0 * 4.0**n)
@@ -94,7 +94,8 @@ def riemann_pmax(d: int, w: float, cov: np.ndarray | None = None) -> float:
     """Peak of the scaled one-step density under the Riemann normalization.
 
     The peak step density times the volume of the per-asset box
-    ``GridSpec.bounds`` the lattice is built on.  Uncorrelated assets give
+    mu_j +- w * sqrt(Sigma_jj), the image of each standard register's
+    [-w, w] under that asset's marginal.  Uncorrelated assets give
     (2w / sqrt(2 pi))^d.  With a covariance matrix the peak becomes
     (2w)^d * prod_j sigma_j / ((2 pi)^{d/2} det(Sigma)^{1/2}), which
     reduces to the uncorrelated form when Sigma is diagonal.

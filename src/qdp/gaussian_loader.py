@@ -250,9 +250,10 @@ def _loss_and_gradient(params: np.ndarray, ansatz: RyCnotAnsatz, loss_grad):
 class LoaderTarget:
     """Discretized standard normal on the cell midpoints x_i of [-w, w].
 
-    The cells ``reparam_distribution`` reads; masses g(x_i) * dx are not
-    renormalized, so the excluded tail mass alpha stays excluded.  Both
-    arrays are built once per target and are read-only.
+    The cells every register of ``market_model.lattice`` holds; masses
+    g(x_i) * dx are not renormalized, so the excluded tail mass alpha
+    stays excluded.  Both arrays are built once per target and are
+    read-only.
     """
 
     n: int

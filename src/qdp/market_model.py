@@ -3,8 +3,9 @@ Correlated geometric Brownian motion in log-return space.
 
 Holds the market-model parameters shared by every pricer and resource
 estimator: per-asset volatilities, a correlation matrix, a uniform time
-grid, and the truncated/discretized lattice of log-returns on which the
-exact pricer and the circuit cost models operate.
+grid, and the step law on which the exact pricer operates: d truncated,
+discretized standard-normal registers per step under the affine map
+mu + L z, as the re-parameterization circuit loads them.
 
 Log-returns over one step are jointly normal with per-asset mean
 mu_j = (r - sigma_j^2 / 2) * dt and covariance
@@ -121,6 +122,10 @@ class GBMParams:
             raise ValueError("s0 length must match sigmas length")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if isinstance(self.n_steps, bool) or not isinstance(
+            self.n_steps, numbers.Integral
+        ):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be a positive integer")
 
@@ -189,108 +194,97 @@ def cholesky_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def sigma_max(cov: np.ndarray) -> float:
-    """Width scale of the error bounds; the lattice uses per-asset boxes.
+    """Width scale of the error bounds.
 
     The square root of the largest covariance eigenvalue, so that
-    w * sigma_max carries log-return units and bounds every asset's box.
+    w * sigma_max carries log-return units and bounds every asset's
+    truncation half-width w * sqrt(Sigma_jj).
     """
     lam = float(np.linalg.eigvalsh(np.asarray(cov, dtype=float)).max())
     return float(np.sqrt(lam))
 
 
-def cell_midpoints(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints and width of 2^n equal cells on [lo, hi]: the grid convention.
-
-    Array bounds give one row of midpoints per dimension.
-    """
-    dx = (np.asarray(hi, dtype=float) - lo) / 2**n
-    return np.asarray(lo)[..., None] + (np.arange(2**n) + 0.5) * dx[..., None], dx
-
-
 def standard_normal_cells(w: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints x_i of the 2^n cells on [-w, w] and their masses g(x_i) * dx.
+    """Midpoints x_i of the 2^n equal cells on [-w, w] and their masses g(x_i) * dx.
 
-    The one standard-register mass formula: the loader target and the
-    re-parameterized pricer both load it.  Tails are dropped, not
-    renormalized.
+    The one grid and the one standard-register mass formula: the loader
+    target and every register of the step law (``lattice``) load it.
+    Tails are dropped, not renormalized.
     """
-    coords, dx = cell_midpoints(-w, w, n)
+    dx = 2.0 * w / 2**n
+    coords = -w + (np.arange(2**n) + 0.5) * dx
     return coords, np.exp(-coords**2 / 2.0) / np.sqrt(2 * np.pi) * dx
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform truncated grid for per-(asset, step) log-return registers.
+    """Uniform truncated grid for the standard-normal step registers.
 
     Parameters
     ----------
     n : int
-        Qubits per register; 2^n cells per dimension.
+        Qubits per register; 2^n cells per register.
     w : float
-        Truncation half-width in each asset's marginal standard deviations.
+        Truncation half-width in standard deviations of each register.
     """
 
     n: int
     w: float
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if not math.isfinite(self.w):
+            raise ValueError(f"w must be finite, got {self.w!r}")
         if self.w <= 0:
             raise ValueError("w must be positive")
 
-    def bounds(self, params: GBMParams) -> tuple[np.ndarray, np.ndarray]:
-        """Per-asset truncation interval [B_l, B_u] for one-step log-returns.
-
-        Asset j's interval is mu_j +- w * sqrt(Sigma_jj), the image of the
-        standard register box [-w, w] under that asset's marginal, so the
-        box's volume times the peak step density is ``riemann_pmax``.
-        """
-        half = self.w * np.sqrt(np.diag(build_covariance(params)))
-        mu = params.step_means()
-        return mu - half, mu + half
-
 
 @dataclass(frozen=True)
-class Lattice:
-    """Midpoint discretization of the one-step log-return distribution.
+class StepLaw:
+    """One step's log-returns as d standard-normal registers and an affine map.
+
+    This is the law the ``reparam`` circuit loads: each of the d
+    registers holds an independent cell index i_j on ``coords``, and the
+    step's log-returns are mu + L @ z for z_j = coords[i_j].
 
     Attributes
     ----------
-    coords : np.ndarray, shape (d, 2^n)
-        Cell midpoints per asset dimension.
-    step_pmf : np.ndarray, shape (2^n,) * d
-        Joint probability mass density(x) * cell volume at each midpoint
-        tuple; identical for every timestep (i.i.d. steps).
+    coords : np.ndarray, shape (2^n,)
+        Register cell midpoints on [-w, w], shared by all d registers.
+    masses : np.ndarray, shape (2^n,)
+        Register cell masses; a tuple (i_1, ..., i_d) has mass
+        prod_j masses[i_j], identical for every timestep (i.i.d. steps).
+    mu : np.ndarray, shape (d,)
+        Per-step log-return drift.
+    chol : np.ndarray, shape (d, d)
+        Lower Cholesky factor L of the per-step covariance.
     """
 
     coords: np.ndarray
-    step_pmf: np.ndarray
+    masses: np.ndarray
+    mu: np.ndarray
+    chol: np.ndarray
 
-    @property
-    def n_cells(self) -> int:
-        return self.coords.shape[1]
+    def sample_returns(self, n_samples: int, seed: int = 0) -> np.ndarray:
+        """Per-step returns sampled from the law, shape (n_samples, d)."""
+        gen = np.random.Generator(np.random.Philox(key=int(seed)))
+        pmf = self.masses / self.masses.sum()
+        idx = gen.choice(len(self.coords), size=(n_samples, len(self.mu)), p=pmf)
+        z = self.coords[idx]
+        return self.mu + z @ self.chol.T
 
-def lattice(grid: GridSpec, params: GBMParams) -> Lattice:
-    """Discretize the one-step return distribution on cell midpoints.
 
-    Each asset's box ``grid.bounds`` is cut by ``cell_midpoints``; a cell's
-    mass is density(midpoint) * cell volume.  Mass outside the truncation
-    box is dropped, not renormalized.  The log-density comes from the
-    Cholesky factor L that Monte Carlo correlates with:
-    -(|L^-1 (x - mu)|^2 + d log 2 pi) / 2 - sum_j log L_jj.
+def lattice(grid: GridSpec, params: GBMParams) -> StepLaw:
+    """The step law on ``grid``: ``standard_normal_cells(grid.w, grid.n)``
+    on every register, mapped through the drift and the Cholesky factor
+    that Monte Carlo correlates with.
+
+    Mass outside [-w, w] is dropped, not renormalized, so one step keeps
+    ``masses.sum() ** d``.
     """
+    coords, masses = standard_normal_cells(grid.w, grid.n)
     chol = cholesky_factor(build_covariance(params))
-    coords, dx = cell_midpoints(*grid.bounds(params), grid.n)
-    mesh = np.meshgrid(*coords, indexing="ij")
-    dev = np.stack([m.ravel() for m in mesh]) - params.step_means()[:, None]
-    # Forward substitution L white = dev, one row per asset.  Multiplying by
-    # the reciprocal diagonal gives solve_triangular's bits for a diagonal L.
-    white = np.empty_like(dev)
-    for i in range(params.d):
-        white[i] = (dev[i] - chol[i, :i] @ white[:i]) * (1.0 / chol[i, i])
-    logpdf = -0.5 * (np.sum(white**2, axis=0) + params.d * math.log(2 * math.pi))
-    logpdf -= np.sum(np.log(np.diag(chol)))
-    log_volume = float(np.sum(np.log(dx)))
-    pmf = np.exp(logpdf + log_volume).reshape((2**grid.n,) * params.d)
-    return Lattice(coords=coords, step_pmf=pmf)
+    return StepLaw(coords=coords, masses=masses, mu=params.step_means(), chol=chol)

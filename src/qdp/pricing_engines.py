@@ -15,20 +15,23 @@ per-contract payoff (``_payoff_fold``): a step per date over cumulative
 log-returns, with the contract's dates resolved to step columns once per
 call.  So the sampled paths and the lattice pay by the same function.
 
-The exact lattice pricer sums pmf * discounted payoff over every path of
-the truncated midpoint lattice.  Up to the truncation/discretization
-error this is the quantity an ideal amplitude-estimation run measures
-(after undoing the payoff normalization).  Autocallables and European
-calls are summed by forward induction on the cumulative-return lattice,
-in work polynomial in T: an autocallable's state after t steps is its
-cumulative return plus one knocked-in flag.  TARFs are summed by
-enumerating the (2^{n d})^T paths, because the running accrual is
-continuous and so has no exact finite state.  The enumeration shares
-prefixes: the lattice is expanded one step at a time, each prefix
-carrying its probability, cumulative return and payoff state, so a
-date's payoff step runs once per prefix rather than once per path.  Both
-engines weight every path over all T steps of the unnormalized step pmf,
-whose mass is m: mass that stops paying at step t carries m^(T - t).
+The exact lattice pricer sums mass * discounted payoff over every path
+of the step law that the re-parameterization circuit loads
+(``market_model.lattice``): each step is d independent standard-normal
+registers on the truncated midpoint grid, mapped to log-returns by
+mu + L z.  Up to the truncation/discretization error this is the
+quantity an ideal amplitude-estimation run measures (after undoing the
+payoff normalization).  Autocallables and European calls are summed by
+forward induction on the cumulative register index, in work polynomial
+in T: an autocallable's state after t steps is that index plus one
+knocked-in flag.  TARFs are summed by enumerating the (2^{n d})^T paths,
+because the running accrual is continuous and so has no exact finite
+state.  The enumeration shares prefixes: the lattice is expanded one
+step at a time, each prefix carrying its probability, cumulative return
+and payoff state, so a date's payoff step runs once per prefix rather
+than once per path.  Both engines weight every path over all T steps of
+the unnormalized step law, whose mass is m: mass that stops paying at
+step t carries m^(T - t).
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .market_model import (
     build_covariance,
     cholesky_factor,
     lattice,
-    standard_normal_cells,
 )
 
 _CHUNK_PATHS = 4096
@@ -324,21 +326,21 @@ def black_scholes_call(
 
 
 def exact_lattice_price(params: GBMParams, contract, grid: GridSpec) -> LatticePrice:
-    """Expected discounted payoff summed exactly over the return lattice.
+    """Expected discounted payoff summed exactly over the step law's paths.
 
     Autocallables (any d, either basket) and European calls are priced
-    by forward induction on the cumulative-return lattice, in work
+    by forward induction on the cumulative register index, in work
     polynomial in T.  TARFs are priced by enumerating all
     (2^{n d})^T paths in chunks of 2^16: the running accrual
     is continuous, so a TARF has no exact finite state to induct on.
 
-    Both engines weight a path by its pmf over all T steps, so mass that
-    stops paying at step t carries m^(T - t), where m is the one-step
-    lattice mass, and ``total_mass`` is m^T.  The normalized expectation
-    ``a_hat`` (what ideal amplitude estimation measures) is
-    (price - f_min * total_mass) / f_delta; it is NaN for a European
-    call, which has no payoff bounds.  ``n_lattice_paths`` is the path
-    count under either engine.
+    Both engines weight a path by its mass over all T steps of the step
+    law ``market_model.lattice``, so mass that stops paying at step t
+    carries m^(T - t), where m is the one-step mass, and ``total_mass`` is
+    m^T.  The normalized expectation ``a_hat`` (what ideal amplitude
+    estimation measures) is (price - f_min * total_mass) / f_delta; it is
+    NaN for a European call, which has no payoff bounds.
+    ``n_lattice_paths`` is the path count under either engine.
 
     Raises
     ------
@@ -371,16 +373,18 @@ def _enumerate_lattice(
     """(price, total mass) summed over every lattice path.
 
     Paths are numbered in mixed-radix order, the first step most
-    significant.  The lattice is expanded one step at a time: each prefix
-    carries its probability, its per-asset cumulative log-return and its
-    payoff state, so a date's payoff step runs once per prefix.  The last
+    significant.  A step is one register tuple z, the first asset most
+    significant, with log-mass the sum of its registers' log-masses and
+    returns mu + L @ z.  The lattice is expanded one step at a time: each
+    prefix carries its probability, its per-asset cumulative log-return
+    and its payoff state, so a date's payoff step runs once per prefix.  The last
     q steps, n_states**q <= chunk_size, are expanded per chunk of
     ``chunk_size`` consecutive paths, so no array is sized to the path
     count; per-chunk sums are added with ``math.fsum``.
     """
-    lat = lattice(grid, params)
+    law = lattice(grid, params)
     d, T = params.d, params.n_steps
-    n_states = lat.n_cells**d
+    n_states = len(law.masses) ** d
     n_paths = n_states**T
     if n_paths > MAX_LATTICE_PATHS:
         raise ValueError(
@@ -388,11 +392,9 @@ def _enumerate_lattice(
             "paths (> 2^26); reduce n, d, or T"
         )
     state, step, value = _payoff_fold(params, contract)
-    log_pmf = np.log(lat.step_pmf.ravel())
-    # Per-state return vectors, shape (n_states, d), mixed-radix over dims.
-    state_returns = np.stack(
-        np.meshgrid(*[lat.coords[j] for j in range(d)], indexing="ij"), axis=-1
-    ).reshape(n_states, d)
+    registers = np.indices((len(law.masses),) * d).reshape(d, n_states)
+    log_pmf = np.sum(np.log(law.masses)[registers], axis=0)
+    state_returns = law.mu + law.coords[registers].T @ law.chol.T
 
     def grow(prefixes, t: int, first: int, lo: int, hi: int):
         """Extend prefixes numbered ``first``, ... by step t to prefixes lo..hi-1.
@@ -442,44 +444,58 @@ def _enumerate_lattice(
 def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float, float]:
     """(price, total mass) of an autocallable or a call by forward induction.
 
-    After t steps asset j's cumulative log-return is
-    t * coords[j, 0] + k * dx_j for k in 0..t(2^n - 1).  The alive mass on
-    that grid, split into (not knocked in, knocked in), is convolved with
-    the step pmf once per step.  On each binary date the mass at or above
-    the strike pays and leaves; on each barrier date the mass below the
-    barrier moves to the knocked-in half; at the horizon the knocked-in
-    mass settles the put.
+    The state after t steps is the cumulative register index Z_t, the sum
+    of t steps' register coordinates, which lies on t * coords[0] + k * dz
+    for k in 0..t(2^n - 1) on every axis; the path's cumulative log-returns
+    are t * mu + L @ Z_t.  The alive mass on that grid, split into (not
+    knocked in, knocked in), is convolved with the step law once per step.
+    On each binary date the mass at or above the strike pays and leaves; on
+    each barrier date the mass below the barrier moves to the knocked-in
+    half; at the horizon the knocked-in mass settles the put.
     """
     d, T = params.d, params.n_steps
     if isinstance(contract, EuropeanCallSpec):
         _resolve_dates(params, contract)
-        steps = T
+        steps, rows = T, 1
     elif isinstance(contract, AutocallableSpec):
         binary_cols, barrier_cols, final_col = _resolve_dates(params, contract)
-        steps = int(final_col) + 1
+        steps, rows = int(final_col) + 1, 2
     else:
         raise TypeError(f"unsupported contract type {type(contract).__name__}")
     cells = 2**grid.n
-    # Cumulative states times step cells, summed over steps: a bound on the
-    # convolutions' multiply-adds per row, checked before anything is built.
-    work = sum(((t * (cells - 1) + 1) * cells) ** d for t in range(1, steps + 1))
+    # The multiply-adds of every ``_convolve_step``, checked before anything
+    # is built: at step t its pass along axis k reads a grid whose first k
+    # axes are already widened to width(t) and whose others are width(t - 1),
+    # with ``cells`` multiply-adds per entry of each row.
+    width = [t * (cells - 1) + 1 for t in range(steps + 1)]
+    work = rows * cells * sum(
+        width[t] ** k * width[t - 1] ** (d - k)
+        for t in range(1, steps + 1)
+        for k in range(d)
+    )
     if work > MAX_INDUCTION_WORK:
         raise ValueError(
             f"forward induction at n={grid.n}, d={d}, T={T} takes {work:.3g} "
             "multiply-adds (> 2^32); reduce n, d, or T"
         )
 
-    lat = lattice(grid, params)
-    pmf = lat.step_pmf
-    m = float(np.sum(pmf))
-    first = lat.coords[:, 0]
-    dx = (lat.coords[:, -1] - first) / (cells - 1)
+    law = lattice(grid, params)
+    m = float(np.sum(law.masses)) ** d
+    first = law.coords[0]
+    dz = (law.coords[-1] - first) / (cells - 1)
 
     def cumulative_returns(t: int) -> list[np.ndarray]:
-        """Per-asset cumulative simple returns after t steps, one grid axis each."""
+        """Per-asset cumulative simple returns exp(t * mu + L @ Z_t).
+
+        Asset j spans only the axes k with L[j, k] != 0, so an independent
+        asset's array stays one-dimensional.
+        """
+        index = t * first + np.arange(width[t]) * dz
+        axes = [index.reshape((-1,) + (1,) * (d - 1 - k)) for k in range(d)]
         return [
-            np.exp(t * first[j] + np.arange(t * (cells - 1) + 1) * dx[j]).reshape(
-                (-1,) + (1,) * (d - 1 - j)
+            np.exp(
+                t * law.mu[j]
+                + sum(law.chol[j, k] * axes[k] for k in range(j + 1) if law.chol[j, k])
             )
             for j in range(d)
         ]
@@ -487,7 +503,7 @@ def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float,
     if isinstance(contract, EuropeanCallSpec):
         mass = np.ones((1, 1))
         for _ in range(T):
-            mass = _convolve_step(mass, pmf)
+            mass = _convolve_step(mass, law.masses)
         s_T = params.s0[0] * cumulative_returns(T)[0]
         payoff = np.maximum(s_T - contract.strike, 0.0)
         price = math.exp(-params.r * contract.expiry) * float(np.sum(mass[0] * payoff))
@@ -499,7 +515,7 @@ def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float,
     mass[(0,) * (d + 1)] = 1.0
     parts: list[float] = []
     for t in range(1, steps + 1):
-        mass = _convolve_step(mass, pmf)
+        mass = _convolve_step(mass, law.masses)
         value = functools.reduce(reduce, cumulative_returns(t))
         later = m ** (T - t)
         for (strike, date, payout), col in zip(contract.binaries, binary_cols):
@@ -520,63 +536,31 @@ def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float,
     return math.fsum(parts), m**T
 
 
-def _convolve_step(mass: np.ndarray, pmf: np.ndarray) -> np.ndarray:
-    """Convolve each row of ``mass`` (rows, *grid) with the d-dim ``pmf``."""
-    if pmf.ndim == 1:
-        return np.stack([np.convolve(row, pmf) for row in mass])
-    grid = mass.shape[1:]
-    out = np.zeros(mass.shape[:1] + tuple(g + c - 1 for g, c in zip(grid, pmf.shape)))
-    for cell in np.ndindex(pmf.shape):
-        window = tuple(slice(i, i + g) for i, g in zip(cell, grid))
-        out[(slice(None),) + window] += pmf[cell] * mass
-    return out
+def _convolve_step(mass: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Convolve each row of ``mass`` (rows, *grid) with one step of the law.
 
-
-@dataclass(frozen=True)
-class ReparamDistribution:
-    """Path distribution factored as dT standard Gaussians plus an affine map.
-
-    A lattice path is loaded as independent standard-normal registers
-    R_bar on ``std_coords``; each step's correlated returns are
-    mu + L @ R_bar_t.
+    The step's registers are independent, so the step convolves every grid
+    axis in turn with the 1-D register ``masses``: ``len(masses)`` shifted
+    adds per axis.
     """
-
-    std_coords: np.ndarray
-    std_pmf: np.ndarray
-    mu: np.ndarray
-    chol: np.ndarray
-    d: int
-
-    def sample_returns(self, n_samples: int, seed: int = 0) -> np.ndarray:
-        """Sample transformed per-step returns from the lattice pmf, (n, d)."""
-        gen = np.random.Generator(np.random.Philox(key=int(seed)))
-        pmf = self.std_pmf / self.std_pmf.sum()
-        idx = gen.choice(len(self.std_coords), size=(n_samples, self.d), p=pmf)
-        z = self.std_coords[idx]
-        return self.mu + z @ self.chol.T
+    for axis in range(1, mass.ndim):
+        size = mass.shape[axis]
+        out = np.zeros(
+            mass.shape[:axis] + (size + len(masses) - 1,) + mass.shape[axis + 1 :]
+        )
+        for i, weight in enumerate(masses):
+            out[(slice(None),) * axis + (slice(i, i + size),)] += weight * mass
+        mass = out
+    return mass
 
 
-def reparam_distribution(grid: GridSpec, params: GBMParams) -> ReparamDistribution:
-    """Standard-Gaussian lattice plus the affine map realizing the step law.
-
-    Every register carries ``standard_normal_cells`` on [-w, w], the
-    grid and masses the loader target uses.
-    """
-    coords, pmf = standard_normal_cells(grid.w, grid.n)
-    cov = build_covariance(params)
-    return ReparamDistribution(
-        std_coords=coords,
-        std_pmf=pmf,
-        mu=params.step_means(),
-        chol=cholesky_factor(cov),
-        d=params.d,
-    )
+# The name the benchmark's lattice sample check calls the step law by.
+reparam_distribution = lattice
 
 
 __all__ = [
     "PriceEstimate",
     "LatticePrice",
-    "ReparamDistribution",
     "mc_price",
     "exact_lattice_price",
     "reparam_distribution",

@@ -177,9 +177,9 @@ def test_criterion_5_amplitude_estimation_scaling():
 
 def brute_force_lattice_price(params, contract, grid):
     """Independent enumerator over all lattice paths."""
-    lat = lattice(grid, params)
-    coords = lat.coords[0]
-    pmf = np.asarray(lat.step_pmf)
+    law = lattice(grid, params)
+    coords = law.mu[0] + law.chol[0, 0] * law.coords
+    pmf = law.masses
     times = params.dt * np.arange(1, params.n_steps + 1)
     total = 0.0
     for combo in itertools.product(range(len(coords)), repeat=params.n_steps):

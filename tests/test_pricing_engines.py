@@ -46,7 +46,6 @@ from qdp.pricing_engines import (
     black_scholes_call,
     exact_lattice_price,
     mc_price,
-    reparam_distribution,
 )
 
 
@@ -78,9 +77,9 @@ def brute_force_lattice_price(params, contract, grid):
 
     Returns (price, total mass) of a one-asset autocallable or TARF.
     """
-    lat = lattice(grid, params)
-    coords = lat.coords[0]
-    pmf = np.asarray(lat.step_pmf)
+    law = lattice(grid, params)
+    coords = law.mu[0] + law.chol[0, 0] * law.coords
+    pmf = law.masses
     times = params.dt * np.arange(1, params.n_steps + 1)
     price = mass = 0.0
     for combo in itertools.product(range(len(coords)), repeat=params.n_steps):
@@ -349,6 +348,17 @@ class TestExactLattice:
         bounds = payoff_bounds(small_autocall(), 0.02)
         assert bounds.f_min <= result.price <= bounds.f_max
 
+    def test_shipped_autocallable_at_its_grid_is_refused(self):
+        # The d=3, T=20 benchmark autocallable at n=5 is past the induction
+        # work guard; the message names the grid and model sizes.
+        cfg = load_benchmark_config("autocallable")
+        params = GBMParams.from_dict(cfg["model"])
+        contract = contract_from_dict(cfg["contract"])
+        with pytest.raises(ValueError, match="2\\^32") as excinfo:
+            exact_lattice_price(params, contract, GridSpec(**cfg["grid"]))
+        for part in ("n=5", "d=3", "T=20"):
+            assert part in str(excinfo.value)
+
     def test_chunking_does_not_change_result(self, tarf_fixture):
         params = small_params(sigma=0.4, r=0.01, s0=20.0)
         contract = fixture_tarf(tarf_fixture)
@@ -540,6 +550,20 @@ def test_mc_payoffs_within_payoff_bounds(instance, seed):
 def fold_cases(tarf_fixture):
     """(params, contract, grid) for the fold-against-exact-engines check."""
     d1 = small_params()
+
+    def d2(rho):
+        return GBMParams(
+            r=0.02, sigmas=(0.2, 0.35), rho=((1.0, rho), (rho, 1.0)),
+            dt=1.0 / 3.0, n_steps=3, s0=(1.0, 1.0),
+        )
+
+    d2_autocall = AutocallableSpec(
+        binaries=((1.05, 1.0 / 3.0, 1.0), (1.05, 2.0 / 3.0, 2.0), (1.05, 1.0, 3.0)),
+        k_put=1.0,
+        barrier=0.8,
+        notional=5.0,
+        barrier_dates=(1.0 / 3.0, 2.0 / 3.0, 1.0),
+    )
     return {
         "autocallable-d1": (d1, small_autocall(), GridSpec(n=3, w=4.0)),
         "tarf-d1": (
@@ -550,34 +574,30 @@ def fold_cases(tarf_fixture):
         "call-d1": (
             d1, EuropeanCallSpec(strike=1.05, expiry=d1.horizon), GridSpec(n=3, w=4.0)
         ),
-        "autocallable-d2-independent": (
-            GBMParams(
-                r=0.02, sigmas=(0.2, 0.35), rho=((1.0, 0.0), (0.0, 1.0)),
-                dt=1.0 / 3.0, n_steps=3, s0=(1.0, 1.0),
-            ),
-            AutocallableSpec(
-                binaries=((1.05, 1.0 / 3.0, 1.0), (1.05, 2.0 / 3.0, 2.0), (1.05, 1.0, 3.0)),
-                k_put=1.0,
-                barrier=0.8,
-                notional=5.0,
-                barrier_dates=(1.0 / 3.0, 2.0 / 3.0, 1.0),
-            ),
-            GridSpec(n=2, w=4.0),
-        ),
+        "autocallable-d2-independent": (d2(0.0), d2_autocall, GridSpec(n=2, w=4.0)),
+        "autocallable-d2-correlated": (d2(0.5), d2_autocall, GridSpec(n=2, w=4.0)),
     }
 
 
 @pytest.mark.parametrize(
-    "case", ["autocallable-d1", "tarf-d1", "call-d1", "autocallable-d2-independent"]
+    "case",
+    [
+        "autocallable-d1",
+        "tarf-d1",
+        "call-d1",
+        "autocallable-d2-independent",
+        "autocallable-d2-correlated",
+    ],
 )
 def test_fold_on_lattice_paths_matches_exact_engines(tarf_fixture, case):
-    # Paths drawn from the lattice pmf itself carry no discretization bias,
+    # Paths drawn from the step law itself carry no discretization bias,
     # so the MC payoff fold must average to the exact engine's normalized
     # price: forward induction for autocallables and calls, enumeration
-    # for the TARF.
+    # for the TARF.  With correlated assets this holds only if the exact
+    # engines price the registers' law, not a return-space discretization.
     params, contract, grid = fold_cases(tarf_fixture)[case]
     n_paths, T, d = 20_000, params.n_steps, params.d
-    returns = reparam_distribution(grid, params).sample_returns(n_paths * T, seed=5)
+    returns = lattice(grid, params).sample_returns(n_paths * T, seed=5)
     payoffs = _fold_paths(_payoff_fold(params, contract), returns.reshape(n_paths, T, d))
     stderr = float(np.std(payoffs, ddof=1)) / math.sqrt(n_paths)
     exact = exact_lattice_price(params, contract, grid)
@@ -620,29 +640,15 @@ class TestGoldenPrices:
         assert result.total_mass.hex() == case["total_mass"]
 
 
-class TestReparamDistribution:
+class TestStepLaw:
     @pytest.mark.parametrize("n, w", [(2, 4.0), (3, 5.0), (5, 5.0), (6, 3.0)])
-    def test_d1_loader_reparam_and_lattice_share_one_grid(self, n, w):
-        # The loader is trained on the cells the reparam pricer reads, and
-        # for one asset the affine map carries them onto the pricing lattice.
+    def test_loader_masses_are_the_law_masses(self, n, w):
+        # The loader is trained on the cells every register of the law loads.
         params = small_params(sigma=0.4, dt=0.25)
-        loader = LoaderTarget(n, w).masses
-        reparam = reparam_distribution(GridSpec(n, w), params).std_pmf
-        lat = lattice(GridSpec(n, w), params).step_pmf
-        assert np.array_equal(loader, reparam)
-        assert np.max(np.abs(lat - reparam)) <= 1e-12
-
-    def test_independent_joint_is_outer_product(self):
-        params = GBMParams(
-            r=0.0, sigmas=(0.2, 0.3), rho=((1.0, 0.0), (0.0, 1.0)),
-            dt=1.0, n_steps=1, s0=(1.0, 1.0),
-        )
-        # Independent registers load the product law, which is the pricing
-        # lattice's joint pmf on the per-asset boxes.
-        rp = reparam_distribution(GridSpec(n=4, w=5.0), params)
-        joint = lattice(GridSpec(n=4, w=5.0), params).step_pmf
-        outer = np.multiply.outer(rp.std_pmf, rp.std_pmf)
-        assert np.max(np.abs(joint - outer)) <= 1e-15
+        loader = LoaderTarget(n, w)
+        law = lattice(GridSpec(n, w), params)
+        assert np.array_equal(loader.masses, law.masses)
+        assert np.array_equal(loader.mesh, law.coords)
 
     def test_sampled_correlation(self):
         rho = 0.6
@@ -650,8 +656,8 @@ class TestReparamDistribution:
             r=0.0, sigmas=(0.2, 0.3), rho=((1.0, rho), (rho, 1.0)),
             dt=1.0, n_steps=1, s0=(1.0, 1.0),
         )
-        rp = reparam_distribution(GridSpec(n=6, w=5.0), params)
-        samples = rp.sample_returns(200_000, seed=0)
+        law = lattice(GridSpec(n=6, w=5.0), params)
+        samples = law.sample_returns(200_000, seed=0)
         corr = np.corrcoef(samples.T)[0, 1]
         assert corr == pytest.approx(rho, abs=3.0 / math.sqrt(200_000) + 0.01)
 
@@ -660,12 +666,12 @@ class TestReparamDistribution:
             r=0.0, sigmas=(0.2, 0.3), rho=((1.0, 0.5), (0.5, 1.0)),
             dt=1.0, n_steps=1, s0=(1.0, 1.0),
         )
-        rp = reparam_distribution(GridSpec(n=3, w=5.0), params)
-        returns = rp.sample_returns(500, seed=0)
+        law = lattice(GridSpec(n=3, w=5.0), params)
+        returns = law.sample_returns(500, seed=0)
         assert returns.shape == (500, 2)
         # Every sample is mu + L z for a z on the standard register grid.
-        z = np.linalg.solve(rp.chol, (returns - rp.mu).T).T
-        nearest = np.abs(z[..., None] - rp.std_coords).min(axis=-1)
+        z = np.linalg.solve(law.chol, (returns - law.mu).T).T
+        nearest = np.abs(z[..., None] - law.coords).min(axis=-1)
         assert np.max(nearest) <= 1e-12
 
 
