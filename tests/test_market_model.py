@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cholesky, solve_triangular
 from scipy.stats import multivariate_normal, norm
 
+from qdp.cli_report import load_benchmark_config
 from qdp.error_budget import riemann_pmax, truncation_error
 from qdp.market_model import (
     GBMParams,
@@ -25,6 +27,25 @@ def make_params(r=0.0, sigmas=(0.2,), rho=None, dt=1.0, n_steps=1, s0=None):
     if s0 is None:
         s0 = (1.0,) * d
     return GBMParams(r=r, sigmas=sigmas, rho=rho, dt=dt, n_steps=n_steps, s0=s0)
+
+
+def step_returns_and_pmf(law):
+    """Every register tuple of one step of ``law`` as (returns, mass).
+
+    Tuples run in C order, the first asset's register most significant;
+    ``returns`` has shape (2^{n d}, d) and holds mu + L @ z, ``mass`` the
+    product of the registers' masses.
+    """
+    d, cells = len(law.mu), len(law.coords)
+    registers = np.indices((cells,) * d).reshape(d, -1)
+    returns = law.mu + law.coords[registers].T @ law.chol.T
+    return returns, np.prod(law.masses[registers], axis=0)
+
+
+def return_cell_volume(law):
+    """Return-space volume of one register cell: |det L| * dz^d."""
+    dz = law.coords[1] - law.coords[0]
+    return float(np.prod(np.diag(law.chol))) * dz ** len(law.mu)
 
 
 class TestGBMParams:
@@ -124,9 +145,141 @@ class TestCovariance:
         assert sigma_max(cov) == pytest.approx(0.3)
 
 
+class TestDensities:
+    """The step law's mass against closed-form return densities."""
+
+    def test_uncorrelated_transition_density_factorizes(self):
+        pair = make_params(sigmas=(0.2, 0.3), s0=(1.0, 1.0))
+        grid = GridSpec(n=4, w=5.0)
+        joint = lattice(grid, pair)
+        a = lattice(grid, make_params(sigmas=(0.2,)))
+        b = lattice(grid, make_params(sigmas=(0.3,)))
+        # Independent assets: a diagonal factor, so each asset's returns
+        # read only its own register, which carries that asset's d=1 law.
+        assert np.array_equal(joint.chol, np.diag(np.diag(joint.chol)))
+        for j, single in enumerate((a, b)):
+            assert joint.mu[j] == single.mu[0]
+            assert joint.chol[j, j] == single.chol[0, 0]
+        _, pmf = step_returns_and_pmf(joint)
+        outer = np.multiply.outer(a.masses, b.masses)
+        assert np.array_equal(pmf.reshape(16, 16), outer)
+
+    def test_joint_density_matches_quadratic_form(self):
+        params = make_params(
+            sigmas=(0.2, 0.4), rho=((1.0, 0.5), (0.5, 1.0)), s0=(1.0, 1.0)
+        )
+        law = lattice(GridSpec(n=3, w=5.0), params)
+        cov = build_covariance(params)
+        inv, det = np.linalg.inv(cov), np.linalg.det(cov)
+        volume = return_cell_volume(law)
+        for i, j in [(0, 0), (3, 4), (5, 2), (7, 7)]:
+            z = np.array([law.coords[i], law.coords[j]])
+            x = law.chol @ z
+            density = math.exp(-0.5 * x @ inv @ x) / (2 * math.pi * math.sqrt(det))
+            mass = law.masses[i] * law.masses[j]
+            assert mass == pytest.approx(density * volume, rel=1e-12)
+
+
 class TestScipyReference:
-    """The package computes normal densities without scipy.stats; these
-    tests keep it as the reference they must reproduce."""
+    """The package computes normal densities without scipy.stats and
+    factors covariances without scipy.linalg; these tests keep both as
+    the references they must reproduce."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("model", ["correlated d=2", "shipped d=3"])
+    def test_step_pmf_matches_multivariate_normal(self, model, n):
+        if model == "shipped d=3":
+            params = GBMParams.from_dict(load_benchmark_config("autocallable")["model"])
+        else:
+            params = make_params(
+                sigmas=(0.2, 0.4), rho=((1.0, 0.5), (0.5, 1.0)), s0=(1.0, 1.0)
+            )
+        law = lattice(GridSpec(n=n, w=5.0), params)
+        returns, pmf = step_returns_and_pmf(law)
+        density = multivariate_normal(
+            mean=params.step_means(), cov=build_covariance(params)
+        ).pdf(returns)
+        np.testing.assert_allclose(
+            pmf, density * return_cell_volume(law), rtol=1e-13, atol=0
+        )
+
+    @staticmethod
+    def solve_triangular_pmf(law, cov):
+        """The step law's mass at each register tuple, recomputed in return
+        space: the N(mu, cov) density at mu + L @ z, whitened by
+        ``scipy.linalg.solve_triangular`` with scipy's own Cholesky factor,
+        times the return-space cell volume."""
+        ref = cholesky(cov, lower=True)
+        returns, _ = step_returns_and_pmf(law)
+        white = solve_triangular(ref, (returns - law.mu).T, lower=True)
+        d = len(law.mu)
+        logpdf = -0.5 * (np.sum(white**2, axis=0) + d * math.log(2 * math.pi))
+        logpdf -= np.sum(np.log(np.diag(ref)))
+        return np.exp(logpdf) * return_cell_volume(law)
+
+    @staticmethod
+    def assert_pmf_close(pmf, expected):
+        # Whitening mu + L z back to z moves it by ulps, so the log-density
+        # moves by a few ulps of its own size: the bound grows with |log p|.
+        assert np.array_equal(pmf == 0, expected == 0)
+        live = expected > 0
+        bound = 8 * np.finfo(float).eps * (1 + np.abs(np.log(expected[live])))
+        assert np.all(np.abs(pmf[live] / expected[live] - 1) <= bound)
+
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda d: st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)
+        ),
+        st.floats(-0.1, 0.2),
+        st.floats(0.001, 2.0),
+        st.floats(1.0, 8.0),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_step_pmf_matches_solve_triangular_for_diagonal_factors(
+        self, sigmas, r, dt, w, n
+    ):
+        params = make_params(r=r, sigmas=tuple(sigmas), dt=dt)
+        law = lattice(GridSpec(n=n, w=w), params)
+        cov = build_covariance(params)
+        assert np.array_equal(law.chol, cholesky(cov, lower=True))
+        self.assert_pmf_close(
+            step_returns_and_pmf(law)[1], self.solve_triangular_pmf(law, cov)
+        )
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("contract", ["autocallable", "tarf"])
+    def test_shipped_step_pmf_matches_solve_triangular(self, contract, n):
+        params = GBMParams.from_dict(load_benchmark_config(contract)["model"])
+        law = lattice(GridSpec(n=n, w=5.0), params)
+        cov = build_covariance(params)
+        coords, masses = standard_normal_cells(5.0, n)
+        assert np.array_equal(law.coords, coords)
+        assert np.array_equal(law.masses, masses)
+        assert np.array_equal(law.mu, params.step_means())
+        assert np.array_equal(law.chol, cholesky(cov, lower=True))
+        self.assert_pmf_close(
+            step_returns_and_pmf(law)[1], self.solve_triangular_pmf(law, cov)
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_correlated_step_pmf_matches_solve_triangular(self, seed):
+        rng = np.random.default_rng(seed)
+        d = 2 + seed % 2
+        factor = rng.normal(size=(d, d))
+        cov = factor @ factor.T + 0.1 * np.eye(d)
+        scale = np.sqrt(np.diag(cov))
+        rho = tuple(map(tuple, cov / np.outer(scale, scale)))
+        params = make_params(
+            r=0.02, sigmas=tuple(rng.uniform(0.05, 0.6, d)), rho=rho, dt=0.05
+        )
+        law = lattice(GridSpec(n=5 if d == 2 else 3, w=5.0), params)
+        cov = build_covariance(params)
+        ref = cholesky(cov, lower=True)
+        assert np.max(np.abs(law.chol - ref)) <= 4 * np.finfo(float).eps * np.max(ref)
+        self.assert_pmf_close(
+            step_returns_and_pmf(law)[1], self.solve_triangular_pmf(law, cov)
+        )
 
     @given(
         st.floats(min_value=0.1, max_value=40.0),
@@ -161,6 +314,39 @@ class TestLattice:
         total = float(law.masses.sum())
         assert 1.0 - 2.0 * math.exp(-0.5 * w * w) <= total <= 1.0 + 1e-12
 
+    def test_joint_pmf_properties_d2(self):
+        params = make_params(
+            sigmas=(0.2, 0.3), rho=((1.0, 0.4), (0.4, 1.0)), s0=(1.0, 1.0)
+        )
+        law = lattice(GridSpec(n=4, w=5.0), params)
+        assert law.coords.shape == law.masses.shape == (16,)
+        assert law.mu.shape == (2,) and law.chol.shape == (2, 2)
+        # L is lower triangular with a positive diagonal and L L^T = Sigma.
+        assert law.chol[0, 1] == 0.0 and np.all(np.diag(law.chol) > 0)
+        cov = build_covariance(params)
+        np.testing.assert_allclose(law.chol @ law.chol.T, cov, rtol=1e-14)
+        _, pmf = step_returns_and_pmf(law)
+        joint = pmf.reshape(16, 16)
+        assert np.all(joint >= 0)
+        assert joint.sum() <= 1.0 + 1e-12
+        for j in range(2):
+            marg = joint.sum(axis=1 - j)
+            assert marg.shape == (16,)
+            assert marg.sum() == pytest.approx(joint.sum())
+
+    def test_returns_centered_on_drift(self):
+        params = make_params(r=0.01, sigmas=(0.4,), dt=0.05)
+        grid = GridSpec(n=5, w=5.0)
+        law = lattice(grid, params)
+        returns = law.mu[0] + law.chol[0, 0] * law.coords
+        mu = params.step_means()[0]
+        half = 5.0 * 0.4 * math.sqrt(0.05)
+        cell = 2 * half / 2**grid.n
+        # The return cells tile mu +- w * sigma * sqrt(dt).
+        assert returns[0] == pytest.approx(mu - half + cell / 2)
+        assert returns[-1] == pytest.approx(mu + half - cell / 2)
+        assert np.diff(returns) == pytest.approx(np.full(2**grid.n - 1, cell))
+
     @given(
         st.integers(min_value=1, max_value=3).flatmap(
             lambda d: st.tuples(
@@ -189,3 +375,18 @@ class TestLattice:
         box = np.prod(2.0 * w * np.sqrt(np.diag(cov)))
         peak = multivariate_normal(mean=mu, cov=cov).pdf(mu) * box
         assert riemann_pmax(d, w, cov) == pytest.approx(peak, rel=1e-12)
+
+    def test_marginal_pmf_matches_univariate_density(self):
+        # Independent assets: the d=2 marginal of asset 0 is its own
+        # register's law, a discretized N(mu_0, 0.2^2).
+        pair = make_params(sigmas=(0.2, 0.3), s0=(1.0, 1.0))
+        grid = GridSpec(n=4, w=5.0)
+        law = lattice(grid, pair)
+        returns, pmf = step_returns_and_pmf(law)
+        coords = returns[:: 2**grid.n, 0]
+        marginal = pmf.reshape(2**grid.n, 2**grid.n).sum(axis=1)
+        dx = 0.2 * (law.coords[1] - law.coords[0])
+        expected = norm.pdf(coords, loc=pair.step_means()[0], scale=0.2) * dx
+        # The joint marginal loses only the other register's tail mass.
+        assert np.max(np.abs(marginal - expected)) <= 1e-6
+        assert sigma_max(build_covariance(pair)) == 0.3

@@ -650,6 +650,20 @@ class TestStepLaw:
         assert np.array_equal(loader.masses, law.masses)
         assert np.array_equal(loader.mesh, law.coords)
 
+    def test_independent_joint_is_outer_product(self):
+        # Independent registers: T induction steps on a d=2 grid carry the
+        # outer product of two d=1 inductions, each a T-fold convolution.
+        masses = lattice(GridSpec(n=3, w=5.0), small_params()).masses
+        one, two = np.ones((1, 1)), np.ones((1, 1, 1))
+        single = np.ones(1)
+        for _ in range(3):
+            one = pe._convolve_step(one, masses)
+            two = pe._convolve_step(two, masses)
+            single = np.convolve(single, masses)
+        np.testing.assert_allclose(one[0], single, rtol=1e-14, atol=0)
+        outer = np.multiply.outer(one[0], one[0])
+        np.testing.assert_allclose(two[0], outer, rtol=1e-14, atol=0)
+
     def test_sampled_correlation(self):
         rho = 0.6
         params = GBMParams(
