@@ -360,7 +360,11 @@ def payoff_bounds(spec, r: float) -> PayoffBounds:
     (barrier - forward, approached from below) until the cap binds, with
     a fractional final payment; the worst pays the loss floor
     alpha * forward on every date (a loose but safe bound, since the
-    contract cannot lose more than alpha * F per date).
+    contract cannot lose more than alpha * F per date).  Both TARF bounds
+    are then widened by 2 T^2 eps max(alpha * F, barrier - F) over T
+    dates, eps = 2^-52.  That covers the rounding of the running sums a
+    payoff and these bounds are added up in: at most T terms each, every
+    term at most max(alpha * F, barrier - F) in magnitude for r >= 0.
     """
     if isinstance(spec, AutocallableSpec):
         f_max = max(math.exp(-r * t) * p for _, t, p in spec.binaries)
@@ -378,7 +382,8 @@ def payoff_bounds(spec, r: float) -> PayoffBounds:
                 break
         loss_step = spec.alpha * spec.forward
         f_min = -sum(math.exp(-r * t) * loss_step for t in spec.payment_times)
-        return PayoffBounds(f_min=f_min, f_max=f_max)
+        margin = 2 * spec.n_dates**2 * math.ulp(1.0) * max(loss_step, gain_step)
+        return PayoffBounds(f_min=f_min - margin, f_max=f_max + margin)
     raise TypeError(f"no payoff bounds for contract type {type(spec).__name__}")
 
 
@@ -413,14 +418,6 @@ def _autocall_date(state, value, col: int, columns, spec: AutocallableSpec, r: f
     return payoff, paid, knocked
 
 
-def _autocall_fold(values: np.ndarray, columns, spec: AutocallableSpec, r: float):
-    """Discounted payoffs of basket-reduced paths (batch, m), dates resolved."""
-    state = _autocall_start(values.shape[0])
-    for col in range(int(columns[2]) + 1):
-        state = _autocall_date(state, values[:, col], col, columns, spec, r)
-    return state[0]
-
-
 def autocall_payoff_batch(
     times, cum_returns: np.ndarray, spec: AutocallableSpec, r: float
 ) -> np.ndarray:
@@ -441,7 +438,11 @@ def autocall_payoff_batch(
     values = np.asarray(cum_returns, dtype=float)
     if values.ndim == 3:
         values = _reduce_basket(values, spec.basket)
-    return _autocall_fold(values, _autocall_columns(times, spec), spec, r)
+    columns = _autocall_columns(times, spec)
+    state = _autocall_start(values.shape[0])
+    for col in range(int(columns[2]) + 1):
+        state = _autocall_date(state, values[:, col], col, columns, spec, r)
+    return state[0]
 
 
 def _tarf_start(batch: int):

@@ -26,12 +26,12 @@ forward induction on the cumulative register index, in work polynomial
 in T: an autocallable's state after t steps is that index plus one
 knocked-in flag.  TARFs are summed by enumerating the (2^{n d})^T paths,
 because the running accrual is continuous and so has no exact finite
-state.  The enumeration shares prefixes: the lattice is expanded one
-step at a time, each prefix carrying its probability, cumulative return
-and payoff state, so a date's payoff step runs once per prefix rather
-than once per path.  Both engines weight every path over all T steps of
-the unnormalized step law, whose mass is m: mass that stops paying at
-step t carries m^(T - t).
+state.  The enumeration walks the lattice depth first and shares
+prefixes: each prefix carries its mass (a plain product of step
+masses), cumulative return and payoff state, so a date's payoff step
+runs once per prefix rather than once per path.  Both engines weight
+every path over all T steps of the unnormalized step law, whose mass is
+m: mass that stops paying at step t carries m^(T - t).
 """
 
 from __future__ import annotations
@@ -331,8 +331,9 @@ def exact_lattice_price(params: GBMParams, contract, grid: GridSpec) -> LatticeP
     Autocallables (any d, either basket) and European calls are priced
     by forward induction on the cumulative register index, in work
     polynomial in T.  TARFs are priced by enumerating all
-    (2^{n d})^T paths in chunks of 2^16: the running accrual
-    is continuous, so a TARF has no exact finite state to induct on.
+    (2^{n d})^T paths depth first, in blocks of about 2^16 paths: the
+    running accrual is continuous, so a TARF has no exact finite state
+    to induct on.
 
     Both engines weight a path by its mass over all T steps of the step
     law ``market_model.lattice``, so mass that stops paying at step t
@@ -372,72 +373,51 @@ def _enumerate_lattice(
 ) -> tuple[float, float]:
     """(price, total mass) summed over every lattice path.
 
-    Paths are numbered in mixed-radix order, the first step most
-    significant.  A step is one register tuple z, the first asset most
-    significant, with log-mass the sum of its registers' log-masses and
-    returns mu + L @ z.  The lattice is expanded one step at a time: each
-    prefix carries its probability, its per-asset cumulative log-return
-    and its payoff state, so a date's payoff step runs once per prefix.  The last
-    q steps, n_states**q <= chunk_size, are expanded per chunk of
-    ``chunk_size`` consecutive paths, so no array is sized to the path
-    count; per-chunk sums are added with ``math.fsum``.
+    A step is one register tuple z, the first asset most significant, with
+    mass the product of its registers' masses and returns mu + L @ z.  The
+    lattice is walked depth first: each prefix carries its mass (the plain
+    product of its step masses), its per-asset cumulative log-return and
+    its payoff state, so a date's payoff step runs once per prefix.
+    Prefixes are extended in blocks of ``chunk_size // n_states`` (at
+    least one), so each level holds one block of children, and no array
+    is sized to the path count unless one step has more than
+    ``chunk_size`` states; the per-block sums of complete paths are added
+    with ``math.fsum``.
     """
-    law = lattice(grid, params)
     d, T = params.d, params.n_steps
-    n_states = len(law.masses) ** d
-    n_paths = n_states**T
+    n_paths = 2 ** (grid.n * d * T)
     if n_paths > MAX_LATTICE_PATHS:
         raise ValueError(
             f"lattice enumeration at n={grid.n}, d={d}, T={T} has {n_paths} "
             "paths (> 2^26); reduce n, d, or T"
         )
-    state, step, value = _payoff_fold(params, contract)
+    law = lattice(grid, params)
+    start, step, value = _payoff_fold(params, contract)
+    n_states = len(law.masses) ** d
     registers = np.indices((len(law.masses),) * d).reshape(d, n_states)
-    log_pmf = np.sum(np.log(law.masses)[registers], axis=0)
+    pmf = np.prod(law.masses[registers], axis=0)
     state_returns = law.mu + law.coords[registers].T @ law.chol.T
-
-    def grow(prefixes, t: int, first: int, lo: int, hi: int):
-        """Extend prefixes numbered ``first``, ... by step t to prefixes lo..hi-1.
-
-        A probability is a product of exponentials of log-pmf sums over
-        blocks of 8 steps.  A longer sum would put one rounding per step
-        into the exponent: at n=1, T=16 that cost 1.5e-14 of the mass.
-        """
-        prob, logp, cum, state = prefixes
-        take = slice(lo - first * n_states, hi - first * n_states)
-        prob = np.repeat(prob, n_states)[take]
-        logp = (logp[:, None] + log_pmf).reshape(-1)[take]
-        if (t + 1) % 8 == 0:
-            prob, logp = prob * np.exp(logp), np.zeros_like(logp)
-        cum = (cum[:, None, :] + state_returns).reshape(-1, d)[take]
-        state = tuple(np.repeat(a, n_states)[take] for a in state)
-        return prob, logp, cum, step(state, cum, t)
-
-    q = 1
-    while q < T and n_states ** (q + 1) <= chunk_size:
-        q += 1
-    prefixes = (np.ones(1), np.zeros(1), np.zeros((1, d)), state)
-    for t in range(T - q):
-        prefixes = grow(prefixes, t, 0, 0, n_states ** (t + 1))
-
+    block = max(chunk_size // n_states, 1)
     mass_parts: list[float] = []
     price_parts: list[float] = []
-    for begin in range(0, n_paths, chunk_size):
-        end = min(begin + chunk_size, n_paths)
-        # The top prefixes under this chunk's paths, then its last q steps.
-        first = begin // n_states**q
-        top = slice(first, (end - 1) // n_states**q + 1)
-        prob, logp, cum, state = prefixes
-        chunk = (prob[top], logp[top], cum[top], tuple(a[top] for a in state))
-        for t in range(T - q, T):
-            below = n_states ** (T - 1 - t)
-            lo = begin // below
-            chunk = grow(chunk, t, first, lo, (end - 1) // below + 1)
-            first = lo
-        prob, logp, cum, state = chunk
-        probs = prob * np.exp(logp)
-        mass_parts.append(float(np.sum(probs)))
-        price_parts.append(float(np.sum(probs * value(state, cum))))
+
+    def walk(prob, cum, state, t: int) -> None:
+        """Extend the prefixes by step t, block by block, down to step T."""
+        for first in range(0, len(prob), block):
+            last = first + block
+            child_prob = (prob[first:last, None] * pmf).reshape(-1)
+            child_cum = (cum[first:last, None, :] + state_returns).reshape(-1, d)
+            child_state = step(
+                tuple(np.repeat(a[first:last], n_states) for a in state), child_cum, t
+            )
+            if t + 1 < T:
+                walk(child_prob, child_cum, child_state, t + 1)
+            else:
+                payoffs = value(child_state, child_cum)
+                mass_parts.append(float(np.sum(child_prob)))
+                price_parts.append(float(np.sum(child_prob * payoffs)))
+
+    walk(np.ones(1), np.zeros((1, d)), start, 0)
     return math.fsum(price_parts), math.fsum(mass_parts)
 
 
@@ -504,10 +484,10 @@ def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float,
         mass = np.ones((1, 1))
         for _ in range(T):
             mass = _convolve_step(mass, law.masses)
-        s_T = params.s0[0] * cumulative_returns(T)[0]
-        payoff = np.maximum(s_T - contract.strike, 0.0)
-        price = math.exp(-params.r * contract.expiry) * float(np.sum(mass[0] * payoff))
-        return price, m**T
+        payoff = contracts._call_payoff(
+            params.s0[0] * cumulative_returns(T)[0], contract, params.r
+        )
+        return float(np.sum(mass[0] * payoff)), m**T
 
     reduce = np.minimum if contract.basket == "worst_of" else np.maximum
     # Rows: alive and not knocked in, alive and knocked in.

@@ -106,6 +106,27 @@ class TestPricingCommands:
         assert code == 2
         assert "forward induction at n=5, d=3, T=20" in err
 
+    def test_price_exact_tarf_past_the_path_cap_is_refused(
+        self, tmp_path, capsys, tarf_config
+    ):
+        # 2^40 cells per register: refused by the path cap, not by numpy's
+        # allocator.
+        model = dict(tarf_config["model"], T=2)
+        contract = dict(
+            tarf_config["contract"],
+            payment_times=tarf_config["contract"]["payment_times"][:2],
+        )
+        grid = {"n": 40, "w": 5.0}
+        config = tmp_path / "tarf_n40.json"
+        config.write_text(
+            json.dumps(dict(tarf_config, model=model, contract=contract, grid=grid))
+        )
+        code, out, err = run_cli(capsys, "price-exact", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "lattice enumeration at n=40, d=1, T=2" in err
+        assert "2^26" in err
+
     @pytest.mark.parametrize("command", ["price-mc", "price-exact"])
     def test_call_expiry_off_the_horizon_is_config_error(self, tmp_path, capsys, command):
         doc = json.loads(Path(small_pricing_config(tmp_path)).read_text())

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,8 @@ from qdp.contracts import (
     AutocallableSpec,
     EuropeanCallSpec,
     TARFSpec,
-    _autocall_fold,
-    _reduce_basket,
     autocall_payoff,
+    autocall_payoff_batch,
     contract_from_dict,
     discount_and_sum,
     payoff_bounds,
@@ -42,7 +42,6 @@ from qdp.pricing_engines import (
     _enumerate_lattice,
     _fold_paths,
     _payoff_fold,
-    _resolve_dates,
     black_scholes_call,
     exact_lattice_price,
     mc_price,
@@ -158,7 +157,7 @@ def serial_mc_reference(params, contract, n_paths, seed):
     Returns (estimate, stderr).
     """
     T = params.n_steps
-    columns = _resolve_dates(params, contract)
+    times = params.dt * np.arange(1, T + 1)
     mu = params.step_means()
     L = cholesky_factor(build_covariance(params))
     total = total_sq = 0.0
@@ -166,8 +165,8 @@ def serial_mc_reference(params, contract, n_paths, seed):
         m = min(pe._CHUNK_PATHS, n_paths - c * pe._CHUNK_PATHS)
         returns = mu + _chunk_normals(seed, c, (m, T, params.d)) @ L.T
         if isinstance(contract, AutocallableSpec):
-            values = _reduce_basket(np.exp(np.cumsum(returns, axis=1)), contract.basket)
-            payoffs = _autocall_fold(values, columns, contract, params.r)
+            cum = np.exp(np.cumsum(returns, axis=1))
+            payoffs = autocall_payoff_batch(times, cum, contract, params.r)
         else:
             prices = params.s0[0] * np.exp(np.cumsum(returns[:, :, 0], axis=1))
             payoffs = tarf_payoff_batch(prices, contract, params.r)
@@ -348,6 +347,16 @@ class TestExactLattice:
         bounds = payoff_bounds(small_autocall(), 0.02)
         assert bounds.f_min <= result.price <= bounds.f_max
 
+    def test_size_guard_precedes_the_lattice(self, tarf_fixture):
+        # One register of 2^40 cells would take terabytes; the path cap
+        # refuses the TARF before any cell is built.
+        params = small_params(sigma=0.4, r=0.01, n_steps=2, s0=20.0)
+        contract = fixture_tarf(tarf_fixture, 2)
+        with pytest.raises(ValueError, match="2\\^26") as excinfo:
+            exact_lattice_price(params, contract, GridSpec(n=40, w=5.0))
+        for part in ("n=40", "d=1", "T=2"):
+            assert part in str(excinfo.value)
+
     def test_shipped_autocallable_at_its_grid_is_refused(self):
         # The d=3, T=20 benchmark autocallable at n=5 is past the induction
         # work guard; the message names the grid and model sizes.
@@ -367,9 +376,10 @@ class TestExactLattice:
         b, _ = _enumerate_lattice(params, contract, grid, chunk_size=1 << 16)
         assert a == pytest.approx(b, rel=1e-14)
 
-    # Chunks of 100 or 7 paths cut through the 64-path two-step subtrees of
-    # the 8-cell lattice, and 5 is fewer than one step's cells.  Only the
-    # summation order changes, by a few ulps.
+    # Chunks of 100 paths take blocks of 12 prefixes, which cut through the
+    # 8-prefix groups of one parent, and chunks of 7 or 5, fewer than one
+    # step's 8 cells, take one prefix per block.  Only the summation order
+    # changes, by a few ulps.
     @pytest.mark.parametrize("chunk_size", [100, 7, 5])
     def test_chunks_that_split_subtrees(self, tarf_fixture, chunk_size):
         params = small_params(sigma=0.4, r=0.01, s0=20.0)
@@ -483,6 +493,49 @@ def test_induction_matches_enumeration(instance):
         assert abs(exact.price - reference) <= 1e-12
 
 
+def dated_tarf(T):
+    """A one-asset model of T steps of dt = 1/T and a TARF paying on each."""
+    params = GBMParams(
+        r=0.01, sigmas=(0.4,), rho=((1.0,),), dt=1.0 / T, n_steps=T, s0=(20.0,)
+    )
+    contract = TARFSpec(
+        forward=20.0, payment_times=tuple(k / T for k in range(1, T + 1)),
+        k_upper=21.0, k_lower=18.0, barrier=26.0, alpha=2.0, cap=4.0,
+    )
+    return params, contract
+
+
+class TestEnumerationAccuracy:
+    """The enumerator against exact rationals, within 4 eps relative."""
+
+    REL = 4 * Fraction(2) ** -52
+
+    @pytest.mark.parametrize("n, T", [(1, 16), (1, 24), (2, 12), (3, 8)])
+    def test_total_mass(self, n, T):
+        params, contract = dated_tarf(T)
+        grid = GridSpec(n=n, w=4.0)
+        _, mass = _enumerate_lattice(params, contract, grid)
+        exact = sum(map(Fraction, lattice(grid, params).masses)) ** T
+        assert abs(Fraction(mass) - exact) <= self.REL * exact
+
+    def test_price(self):
+        # Each path's exact-rational mass times the fold's float payoff.
+        T = 12
+        params, contract = dated_tarf(T)
+        grid = GridSpec(n=1, w=4.0)
+        law = lattice(grid, params)
+        steps = law.mu + law.coords[:, None] @ law.chol.T
+        paths = np.array(list(itertools.product(range(len(law.masses)), repeat=T)))
+        payoffs = _fold_paths(_payoff_fold(params, contract), steps[paths])
+        masses = [Fraction(m) for m in law.masses]
+        exact = sum(
+            Fraction(f) * math.prod(masses[i] for i in path)
+            for path, f in zip(paths, payoffs)
+        )
+        price, _ = _enumerate_lattice(params, contract, grid)
+        assert abs(Fraction(price) - exact) <= self.REL * abs(exact)
+
+
 @st.composite
 def payoff_instances(draw):
     """Small autocallables (d in {1, 2}) and TARFs (d = 1) with T <= 4,
@@ -536,15 +589,29 @@ def test_mc_payoffs_within_payoff_bounds(instance, seed):
     returns = params.step_means() + _chunk_normals(seed, 0, (512, params.n_steps, params.d)) @ L.T
     payoffs = _fold_paths(_payoff_fold(params, contract), returns)
     bounds = payoff_bounds(contract, params.r)
-    # An autocallable pays one rounded product, so its bounds hold exactly.
-    # A TARF adds its payments in floating point, and the payment that hits
-    # the cap, paid + disc * (cap - running), can round one ulp past f_max.
-    slack = 0.0
-    if isinstance(contract, TARFSpec):
-        slack = np.finfo(float).eps * (abs(bounds.f_min) + abs(bounds.f_max))
     assert payoffs.shape == (512,)
-    assert np.all(payoffs >= bounds.f_min - slack)
-    assert np.all(payoffs <= bounds.f_max + slack)
+    assert np.all(payoffs >= bounds.f_min)
+    assert np.all(payoffs <= bounds.f_max)
+
+
+def test_capped_tarf_payment_within_payoff_bounds():
+    # After earlier losses, the payment that reaches the cap,
+    # paid + disc * (cap - running), rounds one ulp past the cap on one of
+    # these 512 paths; the TARF bounds' rounding margin still holds it.
+    params = GBMParams(
+        r=0.0, sigmas=(0.5,), rho=((1.0,),), dt=0.25, n_steps=3, s0=(1.0,)
+    )
+    contract = TARFSpec(
+        forward=1.0, payment_times=(0.25, 0.5, 0.75), k_upper=1.0, k_lower=1.0,
+        barrier=1.5, alpha=1.125, cap=0.0625,
+    )
+    L = cholesky_factor(build_covariance(params))
+    returns = params.step_means() + _chunk_normals(0, 0, (512, 3, 1)) @ L.T
+    payoffs = _fold_paths(_payoff_fold(params, contract), returns)
+    bounds = payoff_bounds(contract, params.r)
+    assert payoffs.max() > contract.cap
+    assert np.all(payoffs >= bounds.f_min)
+    assert np.all(payoffs <= bounds.f_max)
 
 
 def fold_cases(tarf_fixture):
