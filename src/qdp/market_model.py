@@ -204,15 +204,19 @@ def sigma_max(cov: np.ndarray) -> float:
     return float(np.sqrt(lam))
 
 
-def standard_normal_cells(w: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def standard_normal_cells(
+    w: float, n: int, cells: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints x_i of the 2^n equal cells on [-w, w] and their masses g(x_i) * dx.
 
     The one grid and the one standard-register mass formula: the loader
     target and every register of the step law (``lattice``) load it.
-    Tails are dropped, not renormalized.
+    Tails are dropped, not renormalized.  ``cells``, an integer array of
+    cell indices, picks those cells only, bit for bit as in the full grid;
+    the default is all 2^n in order.
     """
     dx = 2.0 * w / 2**n
-    coords = -w + (np.arange(2**n) + 0.5) * dx
+    coords = -w + ((np.arange(2**n) if cells is None else cells) + 0.5) * dx
     return coords, np.exp(-coords**2 / 2.0) / np.sqrt(2 * np.pi) * dx
 
 

@@ -29,9 +29,13 @@ because the running accrual is continuous and so has no exact finite
 state.  The enumeration walks the lattice depth first and shares
 prefixes: each prefix carries its mass (a plain product of step
 masses), cumulative return and payoff state, so a date's payoff step
-runs once per prefix rather than once per path.  Both engines weight
-every path over all T steps of the unnormalized step law, whose mass is
-m: mass that stops paying at step t carries m^(T - t).
+runs once per prefix rather than once per path.  A prefix whose payoff
+is final (knocked out or capped) is not extended: it is summed at once
+for its whole subtree.  The walk works in blocks of at most 2^12
+children, one block per step of the path, so its memory does not grow
+with n or d.  Both engines weight every path over all T steps of the
+unnormalized step law, whose mass is m: mass that stops paying at step
+t carries m^(T - t).
 """
 
 from __future__ import annotations
@@ -59,11 +63,15 @@ from .market_model import (
     build_covariance,
     cholesky_factor,
     lattice,
+    standard_normal_cells,
 )
 
 _CHUNK_PATHS = 4096
 MAX_LATTICE_PATHS = 2**26
 MAX_INDUCTION_WORK = 2**32
+# Children per enumeration block: small enough that a block's arrays stay
+# in cache, large enough that numpy's per-call cost is spread over a block.
+_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -136,16 +144,19 @@ def _resolve_dates(params: GBMParams, contract):
 
 
 def _payoff_fold(params: GBMParams, contract):
-    """A contract's discounted payoff as a fold over path steps: (start, step, value).
+    """A contract's discounted payoff as a fold over path steps: (start, step, value, done).
 
     ``start`` is the payoff state before the first step, a tuple of
     length-1 arrays that broadcast against any batch; ``step(state, cum,
     t)`` observes step t given each path's per-asset cumulative
     log-returns ``cum`` (P, d), and ``value(state, cum)`` is the
-    discounted payoff of complete paths.  Monte Carlo folds it over
-    sampled paths and the enumerator over lattice prefixes.  One start
-    serves every chunk and thread, so a step returns new arrays and never
-    writes its state in place.
+    discounted payoff of complete paths.  ``done(state)`` marks the paths
+    whose payoff no later step can change: paid for an autocallable,
+    knocked out or capped for a TARF, never for a call.  Monte Carlo folds
+    it over sampled paths and ignores ``done``; the enumerator folds it
+    over lattice prefixes and retires the done ones.  One start serves
+    every chunk and thread, so a step returns new arrays and never writes
+    its state in place.
     """
     columns = _resolve_dates(params, contract)
     r = params.r
@@ -158,7 +169,12 @@ def _payoff_fold(params: GBMParams, contract):
             value = contracts._reduce_basket(np.exp(cum), contract.basket)
             return contracts._autocall_date(state, value, t, columns, contract, r)
 
-        return contracts._autocall_start(1), step, lambda state, cum: state[0]
+        return (
+            contracts._autocall_start(1),
+            step,
+            lambda state, cum: state[0],
+            lambda state: state[1],
+        )
     s0 = params.s0[0]
     if isinstance(contract, TARFSpec):
         discs = [math.exp(-r * t) for t in contract.payment_times]
@@ -166,11 +182,17 @@ def _payoff_fold(params: GBMParams, contract):
         def step(state, cum, t):
             return contracts._tarf_date(state, s0 * np.exp(cum[:, 0]), contract, discs[t])
 
-        return contracts._tarf_start(1), step, lambda state, cum: state[0]
+        return (
+            contracts._tarf_start(1),
+            step,
+            lambda state, cum: state[0],
+            lambda state: ~state[2],
+        )
     return (
         (),
         lambda state, cum, t: state,
         lambda state, cum: contracts._call_payoff(s0 * np.exp(cum[:, 0]), contract, r),
+        lambda state: np.zeros(1, dtype=bool),
     )
 
 
@@ -179,7 +201,7 @@ def _fold_paths(fold, returns: np.ndarray) -> np.ndarray:
 
     The cumulative sums are taken in place, so ``returns`` is overwritten.
     """
-    state, step, value = fold
+    state, step, value, _ = fold
     cum = np.cumsum(returns, axis=1, out=returns)
     for t in range(cum.shape[1]):
         state = step(state, cum[:, t], t)
@@ -264,12 +286,13 @@ def mc_price(
     Raises
     ------
     ValueError
-        If ``n_paths`` is not an integer (a float such as 5000.0 included)
-        or is below 2.
+        If ``n_paths`` or ``seed`` is not an integer (a float such as
+        5000.0 or a bool included), or ``n_paths`` is below 2.
     """
-    if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral):
-        raise ValueError(f"n_paths must be an integer, got {n_paths!r}")
-    n_paths = int(n_paths)
+    for name, x in (("n_paths", n_paths), ("seed", seed)):
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
+    n_paths, seed = int(n_paths), int(seed)
     if n_paths < 2:
         raise ValueError(f"need at least 2 paths, got n_paths={n_paths}")
     d, T = params.d, params.n_steps
@@ -315,7 +338,22 @@ def mc_price(
 def black_scholes_call(
     s0: float, strike: float, r: float, sigma: float, expiry: float
 ) -> float:
-    """Closed-form European call price for the MC sanity check."""
+    """Closed-form European call price for the MC sanity check.
+
+    An expiry at or before zero gives the intrinsic value.
+
+    Raises
+    ------
+    ValueError
+        If any argument is not finite, or ``s0``, ``strike`` or ``sigma``
+        is not positive; the message names the argument.
+    """
+    args = {"s0": s0, "strike": strike, "r": r, "sigma": sigma, "expiry": expiry}
+    for name, x in args.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+        if name in ("s0", "strike", "sigma") and x <= 0:
+            raise ValueError(f"{name} must be positive, got {x!r}")
     if expiry <= 0:
         return max(s0 - strike, 0.0)
     d1 = (math.log(s0 / strike) + (r + 0.5 * sigma**2) * expiry) / (
@@ -330,10 +368,12 @@ def exact_lattice_price(params: GBMParams, contract, grid: GridSpec) -> LatticeP
 
     Autocallables (any d, either basket) and European calls are priced
     by forward induction on the cumulative register index, in work
-    polynomial in T.  TARFs are priced by enumerating all
-    (2^{n d})^T paths depth first, in blocks of about 2^16 paths: the
-    running accrual is continuous, so a TARF has no exact finite state
-    to induct on.
+    polynomial in T.  TARFs are priced by enumerating the (2^{n d})^T
+    paths depth first, in blocks of at most 2^12 children, so memory
+    stays at about T blocks whatever n and d are: the running accrual is
+    continuous, so a TARF has no exact finite state to induct on.  A
+    prefix knocked out or capped is summed at once for its whole subtree
+    rather than extended to step T.
 
     Both engines weight a path by its mass over all T steps of the step
     law ``market_model.lattice``, so mass that stops paying at step t
@@ -369,7 +409,7 @@ def exact_lattice_price(params: GBMParams, contract, grid: GridSpec) -> LatticeP
 
 
 def _enumerate_lattice(
-    params: GBMParams, contract, grid: GridSpec, chunk_size: int = 1 << 16
+    params: GBMParams, contract, grid: GridSpec, chunk_size: int = _BLOCK
 ) -> tuple[float, float]:
     """(price, total mass) summed over every lattice path.
 
@@ -378,11 +418,17 @@ def _enumerate_lattice(
     lattice is walked depth first: each prefix carries its mass (the plain
     product of its step masses), its per-asset cumulative log-return and
     its payoff state, so a date's payoff step runs once per prefix.
-    Prefixes are extended in blocks of ``chunk_size // n_states`` (at
-    least one), so each level holds one block of children, and no array
-    is sized to the path count unless one step has more than
-    ``chunk_size`` states; the per-block sums of complete paths are added
-    with ``math.fsum``.
+
+    A prefix whose payoff is final (``done`` of the payoff fold) after
+    step t is retired there: its mass p adds p * m^(T-1-t) to the total
+    mass and p * m^(T-1-t) * payoff to the price, where m is the one-step
+    mass, and only live prefixes are extended.  Every array is bounded by
+    one block of ``chunk_size`` children: a step's states are taken in
+    slices of at most ``chunk_size``, generated lazily when one step has
+    more states than that, and each slice extends ``chunk_size // slice``
+    prefixes at a time.  The walk so holds at most one block per level,
+    T blocks in all, whatever n and d are; only the per-block sums, which
+    ``math.fsum`` adds at the end, grow with the number of blocks.
     """
     d, T = params.d, params.n_steps
     n_paths = 2 ** (grid.n * d * T)
@@ -391,31 +437,66 @@ def _enumerate_lattice(
             f"lattice enumeration at n={grid.n}, d={d}, T={T} has {n_paths} "
             "paths (> 2^26); reduce n, d, or T"
         )
-    law = lattice(grid, params)
-    start, step, value = _payoff_fold(params, contract)
-    n_states = len(law.masses) ** d
-    registers = np.indices((len(law.masses),) * d).reshape(d, n_states)
-    pmf = np.prod(law.masses[registers], axis=0)
-    state_returns = law.mu + law.coords[registers].T @ law.chol.T
-    block = max(chunk_size // n_states, 1)
+    start, step, value, done = _payoff_fold(params, contract)
+    mu = params.step_means()
+    chol = cholesky_factor(build_covariance(params))
+    n_states = 2 ** (grid.n * d)
+    width = min(n_states, chunk_size)
+    block = chunk_size // width
+    # The one-step mass, summed as ``_induct_lattice`` sums it.  Only steps
+    # before the last retire prefixes, and at T >= 2 the path cap keeps the
+    # register grid small.
+    m = float(np.sum(standard_normal_cells(grid.w, grid.n)[1])) ** d if T > 1 else 1.0
+
+    def state_slice(first: int):
+        """Masses and returns of the step's states first, ..., first + width - 1."""
+        index = np.arange(first, min(first + width, n_states))
+        registers = np.array(np.unravel_index(index, (2**grid.n,) * d))
+        coords, masses = standard_normal_cells(grid.w, grid.n, registers)
+        return np.prod(masses, axis=0), mu + coords.T @ chol.T
+
+    # A step that fits in one block is built once; a wider one is rebuilt
+    # slice by slice wherever it is walked, so it never exists whole.
+    whole = [state_slice(0)] if width == n_states else None
     mass_parts: list[float] = []
     price_parts: list[float] = []
 
+    def retire(prob, cum, state, later: float) -> None:
+        """Add finished prefixes, each standing for ``later`` times its mass."""
+        mass_parts.append(later * float(np.sum(prob)))
+        price_parts.append(later * float(np.sum(prob * value(state, cum))))
+
     def walk(prob, cum, state, t: int) -> None:
-        """Extend the prefixes by step t, block by block, down to step T."""
-        for first in range(0, len(prob), block):
-            last = first + block
-            child_prob = (prob[first:last, None] * pmf).reshape(-1)
-            child_cum = (cum[first:last, None, :] + state_returns).reshape(-1, d)
-            child_state = step(
-                tuple(np.repeat(a[first:last], n_states) for a in state), child_cum, t
-            )
-            if t + 1 < T:
+        """Extend the live prefixes by step t, block by block, down to step T."""
+        later = m ** (T - 1 - t)
+        for pmf, returns in whole or map(state_slice, range(0, n_states, width)):
+            for first in range(0, len(prob), block):
+                last = first + block
+                child_prob = (prob[first:last, None] * pmf).reshape(-1)
+                child_cum = (cum[first:last, None, :] + returns).reshape(-1, d)
+                child_state = step(
+                    tuple(np.repeat(a[first:last], len(pmf)) for a in state),
+                    child_cum,
+                    t,
+                )
+                if t + 1 == T:
+                    retire(child_prob, child_cum, child_state, later)
+                    continue
+                finished = done(child_state)
+                if finished.any():
+                    out = np.flatnonzero(finished)
+                    retire(
+                        child_prob[out],
+                        child_cum[out],
+                        tuple(a[out] for a in child_state),
+                        later,
+                    )
+                    live = np.flatnonzero(~finished)
+                    if not len(live):
+                        continue
+                    child_prob, child_cum = child_prob[live], child_cum[live]
+                    child_state = tuple(a[live] for a in child_state)
                 walk(child_prob, child_cum, child_state, t + 1)
-            else:
-                payoffs = value(child_state, child_cum)
-                mass_parts.append(float(np.sum(child_prob)))
-                price_parts.append(float(np.sum(child_prob * payoffs)))
 
     walk(np.ones(1), np.zeros((1, d)), start, 0)
     return math.fsum(price_parts), math.fsum(mass_parts)

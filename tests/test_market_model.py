@@ -292,6 +292,21 @@ class TestScipyReference:
         assert np.array_equal(coords, -w + (np.arange(2**n) + 0.5) * dx)
         assert np.array_equal(masses, norm.pdf(coords) * dx)
 
+    @given(
+        st.floats(min_value=0.1, max_value=40.0),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_picked_cells_bit_identical_to_full_grid(self, w, n, seed):
+        # Any index array, of any shape: the enumerator asks for a slice of
+        # register tuples at a time.
+        coords, masses = standard_normal_cells(w, n)
+        cells = np.random.default_rng(seed).integers(0, 2**n, size=(2, 37))
+        picked_coords, picked_masses = standard_normal_cells(w, n, cells)
+        assert np.array_equal(picked_coords, coords[cells])
+        assert np.array_equal(picked_masses, masses[cells])
+
 
 class TestLattice:
     def test_two_cell_midpoints(self):

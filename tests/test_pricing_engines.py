@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 import itertools
 import json
 import math
 import re
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,6 +150,19 @@ class TestMonteCarlo:
             result = mc_price(params, contract, n)
             assert (result.estimate, result.stderr) == (reference.estimate, reference.stderr)
             assert type(result.n_paths) is int
+
+    def test_seed_must_be_an_integer(self, tarf_fixture):
+        # int() would truncate seed=1.9 to seed 1's stream while the result
+        # reported seed 1.9.
+        params = small_params(sigma=0.4, r=0.01, s0=20.0)
+        contract = fixture_tarf(tarf_fixture)
+        for bad in (1.9, 1.0, True, "1", None):
+            with pytest.raises(ValueError, match="seed"):
+                mc_price(params, contract, 100, seed=bad)
+        reference = mc_price(params, contract, 100, seed=1)
+        result = mc_price(params, contract, 100, seed=np.int64(1))
+        assert (result.estimate, result.stderr) == (reference.estimate, reference.stderr)
+        assert type(result.seed) is int
 
 
 def serial_mc_reference(params, contract, n_paths, seed):
@@ -380,7 +395,7 @@ class TestExactLattice:
     # 8-prefix groups of one parent, and chunks of 7 or 5, fewer than one
     # step's 8 cells, take one prefix per block.  Only the summation order
     # changes, by a few ulps.
-    @pytest.mark.parametrize("chunk_size", [100, 7, 5])
+    @pytest.mark.parametrize("chunk_size", [100, 7, 5, pe._BLOCK])
     def test_chunks_that_split_subtrees(self, tarf_fixture, chunk_size):
         params = small_params(sigma=0.4, r=0.01, s0=20.0)
         contract = fixture_tarf(tarf_fixture)
@@ -389,6 +404,45 @@ class TestExactLattice:
         b_price, b_mass = _enumerate_lattice(params, contract, grid, chunk_size=1 << 16)
         assert a_price == pytest.approx(b_price, rel=1e-14)
         assert a_mass == pytest.approx(b_mass, rel=1e-14)
+
+    # Prefixes whose payoff is final retire before step T and stand for
+    # their whole subtree, mass times m^(T-1-t).  On w = 2.5 one step keeps
+    # m = 0.988 of the mass, so a retired prefix that dropped that factor
+    # would move the price and the mass far past 1e-12.
+    def test_autocallable_paid_at_step_one_retires(self):
+        params = small_params(n_steps=4, dt=0.25)
+        contract = AutocallableSpec(
+            binaries=((0.9, 0.25, 2.0), (1.1, 0.5, 4.0), (1.1, 1.0, 6.0)),
+            k_put=1.0,
+            barrier=0.8,
+            notional=18.0,
+            barrier_dates=(0.5, 0.75, 1.0),
+        )
+        grid = GridSpec(n=3, w=2.5)
+        law = lattice(grid, params)
+        paid = np.exp(law.mu[0] + law.chol[0, 0] * law.coords) >= 0.9
+        assert law.masses[paid].sum() > 0.5 * law.masses.sum()
+        price, mass = _enumerate_lattice(params, contract, grid)
+        ref_price, ref_mass = brute_force_lattice_price(params, contract, grid)
+        assert abs(price - ref_price) <= 1e-12
+        assert abs(mass - ref_mass) <= 1e-12
+        exact = exact_lattice_price(params, contract, grid)
+        assert abs(price - exact.price) <= 1e-12
+        assert abs(mass - exact.total_mass) <= 1e-12
+
+    def test_tarf_capped_at_step_one_retires(self, tarf_fixture):
+        # A cap of 1 binds once the first price reaches 21, below the
+        # barrier at 30: on 4 of the 8 first-step cells.
+        params = small_params(sigma=0.3, r=0.03, n_steps=4, s0=20.0)
+        contract = dataclasses.replace(fixture_tarf(tarf_fixture, 4), cap=1.0)
+        grid = GridSpec(n=3, w=2.5)
+        law = lattice(grid, params)
+        first = 20.0 * np.exp(law.mu[0] + law.chol[0, 0] * law.coords)
+        assert np.sum((first >= 21.0) & (first < 30.0)) == 4
+        price, mass = _enumerate_lattice(params, contract, grid)
+        ref_price, ref_mass = brute_force_lattice_price(params, contract, grid)
+        assert abs(price - ref_price) <= 1e-12
+        assert abs(mass - ref_mass) <= 1e-12
 
     @pytest.mark.parametrize("n_steps, n", [(1, 3), (2, 2), (3, 3), (4, 1), (4, 3)])
     def test_tarf_matches_independent_enumerator(self, tarf_fixture, n_steps, n):
@@ -534,6 +588,50 @@ class TestEnumerationAccuracy:
         )
         price, _ = _enumerate_lattice(params, contract, grid)
         assert abs(Fraction(price) - exact) <= self.REL * abs(exact)
+
+
+class TestEnumerationMemory:
+    """The enumerator holds about one block of children per step, whatever
+    n and d are: a step wider than one block is taken in slices."""
+
+    # A level's block and the payoff fold's temporaries come to about 16
+    # arrays of ``chunk_size`` floats.  Arrays sized to a whole step would
+    # take 2^{nd} floats each: 64 blocks and 4 blocks in these tests.
+    BLOCKS_PER_STEP = 32
+
+    def peak_bytes(self, params, contract, grid, **kwargs):
+        tracemalloc.start()
+        try:
+            _enumerate_lattice(params, contract, grid, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_one_step_of_many_blocks(self):
+        # 2^18 states, 64 blocks of the default size.
+        params, contract = dated_tarf(1)
+        peak = self.peak_bytes(params, contract, GridSpec(n=18, w=4.0))
+        assert peak <= self.BLOCKS_PER_STEP * pe._BLOCK * 8
+
+    def test_two_steps_wider_than_a_block(self):
+        # 2^12 states per step in blocks of 2^10.  The cap binds at step 1
+        # once the price reaches 7, on all but 211 states, which keeps the
+        # run short; those are extended by step 2 in four slices each.
+        params = GBMParams(
+            r=0.01, sigmas=(0.4,), rho=((1.0,),), dt=0.5, n_steps=2, s0=(20.0,)
+        )
+        contract = TARFSpec(
+            forward=6.0, payment_times=(0.5, 1.0), k_upper=6.0, k_lower=3.0,
+            barrier=40.0, alpha=2.0, cap=1.0,
+        )
+        chunk_size = 1 << 10
+        grid = GridSpec(n=12, w=4.0)
+        peak = self.peak_bytes(params, contract, grid, chunk_size=chunk_size)
+        assert peak <= self.BLOCKS_PER_STEP * 2 * chunk_size * 8
+        price, mass = _enumerate_lattice(params, contract, grid, chunk_size=chunk_size)
+        assert (price, mass) == pytest.approx(
+            _enumerate_lattice(params, contract, grid), rel=1e-14
+        )
 
 
 @st.composite
@@ -758,6 +856,34 @@ class TestStepLaw:
 
 def test_black_scholes_zero_expiry_intrinsic():
     assert black_scholes_call(1.2, 1.0, 0.05, 0.2, 0.0) == pytest.approx(0.2)
+
+
+# Unchecked, sigma=-0.2 prices to -0.0744, a NaN sigma to NaN, and zero or
+# negative s0, strike or sigma raise ZeroDivisionError or a math domain error.
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("sigma", -0.2),
+        ("sigma", 0.0),
+        ("sigma", math.nan),
+        ("sigma", math.inf),
+        ("s0", 0.0),
+        ("s0", -1.0),
+        ("s0", math.nan),
+        ("strike", 0.0),
+        ("strike", -1.05),
+        ("strike", math.inf),
+        ("r", math.nan),
+        ("r", -math.inf),
+        ("expiry", math.nan),
+        ("expiry", math.inf),
+    ],
+)
+def test_black_scholes_rejects_invalid_inputs(name, bad):
+    args = {"s0": 1.0, "strike": 1.05, "r": 0.03, "sigma": 0.25, "expiry": 1.0}
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        black_scholes_call(**args)
 
 
 @given(
