@@ -99,6 +99,18 @@ def _fmt_from(doc: dict, key: str) -> qa.FixedPointFormat:
     )
 
 
+def _rows_key(doc: dict, key: str, default, read) -> list:
+    """``doc[key]`` (``default`` when absent or null) read by ``config_list``.
+
+    Each item gives the report one row or more, so an empty list raises a
+    ConfigError naming ``key``.
+    """
+    items = config_list(_get(doc, key, default), key, read)
+    if not items:
+        raise ConfigError(f"config key '{key}' must be a non-empty list")
+    return items
+
+
 def _emit(report, out_path: str | None, fmt: str, csv_rows=None) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2, default=_json_default)
@@ -212,10 +224,10 @@ def _cmd_error_budget(doc: dict, digest: str, seed: int) -> dict:
 def _cmd_iqae_demo(doc: dict, digest: str, seed: int) -> dict:
     a = config_float(_get(doc, "a", 0.3), "a")
     alpha = config_float(_get(doc, "alpha", 0.32), "alpha")
-    epsilons = config_list(
-        _get(doc, "epsilons", [1e-2, 3e-3, 1e-3, 3e-4]), "epsilons", config_float
-    )
+    epsilons = _rows_key(doc, "epsilons", [1e-2, 3e-3, 1e-3, 3e-4], config_float)
     n_seeds = config_int(_get(doc, "n_seeds", 20), "n_seeds")
+    if n_seeds < 1:
+        raise ConfigError(f"config key 'n_seeds' must be at least 1, got {n_seeds}")
     rows = []
     for eps in epsilons:
         calls = []
@@ -238,7 +250,7 @@ def _cmd_iqae_demo(doc: dict, digest: str, seed: int) -> dict:
 
 def _cmd_train_loader(doc: dict, digest: str, seed: int) -> dict:
     n = config_int(_get(doc, "n", 4), "n")
-    depths = config_list(_get(doc, "depths", [2, 4, 6, 8]), "depths", config_int)
+    depths = _rows_key(doc, "depths", [2, 4, 6, 8], config_int)
     restarts = config_int(_get(doc, "restarts", 4), "restarts")
     w = config_float(_get(doc, "w", 5.0), "w")
     results = gl.train_sweep(n, depths, restarts=restarts, seed=seed, w=w)
@@ -257,9 +269,7 @@ def _cmd_train_loader(doc: dict, digest: str, seed: int) -> dict:
 
 def _cmd_qarith(doc: dict, digest: str, seed: int) -> dict:
     primitive = _get(doc, "primitive", "add")
-    n_values = config_list(
-        _get(doc, "n_values", list(range(8, 40, 2))), "n_values", config_int
-    )
+    n_values = _rows_key(doc, "n_values", list(range(8, 40, 2)), config_int)
     p = config_int(_get(doc, "p", 2), "p")
     k = config_int(_get(doc, "k", 3), "k")
     M = config_int(_get(doc, "M", 32), "M")
@@ -295,7 +305,9 @@ def _cmd_qarith(doc: dict, digest: str, seed: int) -> dict:
 
 
 def _cmd_table1(doc: dict, digest: str, seed: int) -> dict:
-    methods = _get(doc, "methods", ["riemann", "riemann-no-norm", "reparam"])
+    methods = _rows_key(
+        doc, "methods", ["riemann", "riemann-no-norm", "reparam"], lambda item, key: item
+    )
     rows = []
     for contract_name in ("autocallable", "tarf"):
         config = load_benchmark_config(contract_name)

@@ -23,6 +23,10 @@ import numpy as np
 
 from .market_model import config_float, config_floats, config_list
 
+# The elementwise op that reduces per-asset returns to an autocallable's
+# basket value, by basket name.
+_BASKET_OPS = {"worst_of": np.minimum, "best_of": np.maximum}
+
 
 @dataclass(frozen=True)
 class PayoffBounds:
@@ -122,7 +126,7 @@ class AutocallableSpec:
         bt = self.barrier_dates
         if any(t2 <= t1 for t1, t2 in zip(bt, bt[1:])):
             raise ValueError("barrier dates must be strictly increasing")
-        if self.basket not in ("worst_of", "best_of"):
+        if not isinstance(self.basket, str) or self.basket not in _BASKET_OPS:
             raise ValueError("basket must be 'worst_of' or 'best_of'")
 
     @property
@@ -280,8 +284,9 @@ def _reduce_basket(values: np.ndarray, basket: str) -> np.ndarray:
         return values
     # An elementwise fold over per-asset slices: a reduction along a short
     # trailing axis costs about 20x more per element.
-    op = np.minimum if basket == "worst_of" else np.maximum
-    return functools.reduce(op, [values[..., j] for j in range(values.shape[-1])])
+    return functools.reduce(
+        _BASKET_OPS[basket], [values[..., j] for j in range(values.shape[-1])]
+    )
 
 
 def autocall_payoff(times, cum_returns, spec: AutocallableSpec):

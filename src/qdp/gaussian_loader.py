@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,12 @@ MAX_QUBITS = 12
 _DIGITIZE_BATCH_FLOATS = 2**20
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a ``value`` for field ``name`` that is a bool or not an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RyCnotAnsatz:
     """Ansatz shape: n qubits, L entangling blocks, n(L+1) angles."""
@@ -59,6 +66,8 @@ class RyCnotAnsatz:
     L: int
 
     def __post_init__(self):
+        _check_integer("n", self.n)
+        _check_integer("L", self.L)
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"n must be in [1, {MAX_QUBITS}]")
         if self.L < 0:
@@ -260,8 +269,11 @@ class LoaderTarget:
     w: float = 5.0
 
     def __post_init__(self):
+        _check_integer("n", self.n)
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"n must be in [1, {MAX_QUBITS}]")
+        if not math.isfinite(self.w):
+            raise ValueError(f"w must be finite, got {self.w!r}")
         if self.w <= 0:
             raise ValueError("w must be positive")
 
@@ -436,7 +448,17 @@ def train(
     shorter) joins the restart pool.
 
     Deterministic for fixed (n, L, restarts, seed, warm_start).
+
+    Raises
+    ------
+    ValueError
+        If ``restarts`` is negative, or zero with no ``warm_start``: the
+        pool would have nothing to train.
     """
+    if restarts < 0 or (restarts == 0 and warm_start is None):
+        raise ValueError(
+            f"restarts must be at least 1, or 0 with a warm_start; got {restarts!r}"
+        )
     ansatz = RyCnotAnsatz(n=n, L=L)
     target = LoaderTarget(n=n, w=w)
     mesh = target.mesh

@@ -13,7 +13,9 @@ estimate at any CPU count.
 Both path engines, Monte Carlo and the lattice enumerator, fold one
 per-contract payoff (``_payoff_fold``): a step per date over cumulative
 log-returns, with the contract's dates resolved to step columns once per
-call.  So the sampled paths and the lattice pay by the same function.
+call.  So the sampled paths and the lattice pay by the same function,
+and forward induction evaluates each autocallable date by the same
+``contracts._autocall_date``, on its mass grid.
 
 The exact lattice pricer sums mass * discounted payoff over every path
 of the step law that the re-parameterization circuit loads
@@ -508,21 +510,18 @@ def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float,
     The state after t steps is the cumulative register index Z_t, the sum
     of t steps' register coordinates, which lies on t * coords[0] + k * dz
     for k in 0..t(2^n - 1) on every axis; the path's cumulative log-returns
-    are t * mu + L @ Z_t.  The alive mass on that grid, split into (not
-    knocked in, knocked in), is convolved with the step law once per step.
-    On each binary date the mass at or above the strike pays and leaves; on
-    each barrier date the mass below the barrier moves to the knocked-in
-    half; at the horizon the knocked-in mass settles the put.
+    are t * mu + L @ Z_t.  The alive mass on that grid is convolved with
+    the step law once per step.  An autocallable's mass has two rows, the
+    fold's two live states: nothing paid and not knocked in, nothing paid
+    and knocked in.  Each date is evaluated by ``contracts._autocall_date``
+    on the basket value of the grid, from one state per row: the mass it
+    pays (a coupon, or at the horizon the settled put) adds to the price
+    and leaves, and the row-0 mass it knocks in moves to row 1.
     """
     d, T = params.d, params.n_steps
-    if isinstance(contract, EuropeanCallSpec):
-        _resolve_dates(params, contract)
-        steps, rows = T, 1
-    elif isinstance(contract, AutocallableSpec):
-        binary_cols, barrier_cols, final_col = _resolve_dates(params, contract)
-        steps, rows = int(final_col) + 1, 2
-    else:
-        raise TypeError(f"unsupported contract type {type(contract).__name__}")
+    columns = _resolve_dates(params, contract)
+    call = columns is None
+    steps, rows = (T, 1) if call else (int(columns[2]) + 1, 2)
     cells = 2**grid.n
     # The multiply-adds of every ``_convolve_step``, checked before anything
     # is built: at step t its pass along axis k reads a grid whose first k
@@ -561,7 +560,7 @@ def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float,
             for j in range(d)
         ]
 
-    if isinstance(contract, EuropeanCallSpec):
+    if call:
         mass = np.ones((1, 1))
         for _ in range(T):
             mass = _convolve_step(mass, law.masses)
@@ -570,30 +569,25 @@ def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float,
         )
         return float(np.sum(mass[0] * payoff)), m**T
 
-    reduce = np.minimum if contract.basket == "worst_of" else np.maximum
-    # Rows: alive and not knocked in, alive and knocked in.
+    basket_op = contracts._BASKET_OPS[contract.basket]
     mass = np.zeros((2,) + (1,) * d)
     mass[(0,) * (d + 1)] = 1.0
+    # One payoff state per mass row: nothing paid, not knocked in or knocked in.
+    row_state = (
+        np.zeros(1), np.zeros(1, dtype=bool), np.array([False, True]).reshape(mass.shape)
+    )
     parts: list[float] = []
     for t in range(1, steps + 1):
         mass = _convolve_step(mass, law.masses)
-        value = functools.reduce(reduce, cumulative_returns(t))
-        later = m ** (T - t)
-        for (strike, date, payout), col in zip(contract.binaries, binary_cols):
-            if col == t - 1:
-                hit = value >= strike
-                paid = float(np.sum(mass[:, hit]))
-                parts.append(math.exp(-params.r * date) * payout * paid * later)
-                mass[:, hit] = 0.0
-        if t - 1 in barrier_cols:
-            below = value < contract.barrier
-            mass[1, below] += mass[0, below]
-            mass[0, below] = 0.0
-    put = value < contract.k_put
-    settled = float(np.sum(mass[1][put] * (value[put] - contract.k_put)))
-    parts.append(
-        math.exp(-params.r * contract.horizon) * contract.notional * settled * later
-    )
+        value = functools.reduce(basket_op, cumulative_returns(t))
+        payoff, paid, knocked = contracts._autocall_date(
+            row_state, value, t - 1, columns, contract, params.r
+        )
+        parts.append(float(np.sum(mass * payoff)) * m ** (T - t))
+        mass *= ~paid
+        # Adds exact zeros outside the newly knocked-in cells.
+        mass[1] += mass[0] * knocked[0]
+        mass[0] *= ~knocked[0]
     return math.fsum(parts), m**T
 
 

@@ -548,6 +548,49 @@ class TestModelAndContractKeys:
         assert reports[0]["stderr"] == reports[1]["stderr"]
 
 
+class TestRowKeys:
+    """Keys that give a report its rows must give it at least one; otherwise
+    the command exits 2 with a message naming the key."""
+
+    @pytest.mark.parametrize("n_seeds", [0, -2])
+    def test_n_seeds_must_be_positive(self, tmp_path, capsys, n_seeds):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"epsilons": [1e-2], "n_seeds": n_seeds}))
+        code, out, err = run_cli(capsys, "iqae-demo", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "config key 'n_seeds' must be at least 1" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "command, key, base",
+        [
+            ("iqae-demo", "epsilons", {"n_seeds": 2}),
+            ("train-loader", "depths", {"n": 2, "restarts": 1}),
+            ("qarith", "n_values", {}),
+            ("table1", "methods", {}),
+        ],
+    )
+    def test_empty_row_list_rejected(self, tmp_path, capsys, command, key, base, fmt):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({**base, key: []}))
+        code, out, err = run_cli(
+            capsys, command, "--config", str(config), "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert f"config key '{key}' must be a non-empty list" in err
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_empty_restart_pool_rejected(self, tmp_path, capsys, restarts):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"n": 2, "depths": [1], "restarts": restarts}))
+        code, out, err = run_cli(capsys, "train-loader", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "restarts must be at least 1" in err
+
+
 def test_pricing_and_estimates_load_numpy_and_scipy_special_only(tmp_path):
     # A fresh interpreter: importing the CLI, pricing, table1 and estimates
     # must not load scipy.stats (the IQAE simulator's), scipy.optimize

@@ -27,6 +27,21 @@ class TestAnsatz:
         with pytest.raises(ValueError):
             RyCnotAnsatz(n=4, L=-1)
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: RyCnotAnsatz(n=4.5, L=2), "n must be an integer, got 4.5"),
+            (lambda: RyCnotAnsatz(n=True, L=2), "n must be an integer, got True"),
+            (lambda: RyCnotAnsatz(n=4, L=1.5), "L must be an integer, got 1.5"),
+            (lambda: LoaderTarget(n=4.0), "n must be an integer, got 4.0"),
+            (lambda: LoaderTarget(n=4, w=math.nan), "w must be finite, got nan"),
+            (lambda: LoaderTarget(n=4, w=math.inf), "w must be finite, got inf"),
+        ],
+    )
+    def test_invalid_inputs_name_the_field(self, make, field):
+        with pytest.raises(ValueError, match=field):
+            make()
+
     def test_identity_rotations_keep_ground_state(self):
         state = simulate_ansatz(RyCnotAnsatz(n=3, L=0), np.zeros(3))
         expected = np.zeros(8)
@@ -356,6 +371,16 @@ class TestTraining:
         b = train(3, 2, restarts=1, seed=3)
         assert a.l_inf == b.l_inf
         assert a.best_params == pytest.approx(b.best_params)
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_empty_restart_pool_rejected(self, restarts):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            train(2, 1, restarts=restarts)
+
+    def test_warm_start_alone_is_a_pool(self):
+        base = train(2, 1, restarts=1, seed=0)
+        warmed = train(2, 1, restarts=0, warm_start=base.best_params)
+        assert warmed.l_inf <= base.l_inf * (1 + 1e-9)
 
     def test_warm_start_joins_pool(self):
         # Seed 1's own restart ends at 7.3e-3; warm-started from seed 0's

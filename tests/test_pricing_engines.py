@@ -534,10 +534,9 @@ def induction_instances(draw):
     return params, contract, grid
 
 
-@given(induction_instances())
-@settings(max_examples=60, deadline=None)
-def test_induction_matches_enumeration(instance):
-    params, contract, grid = instance
+def assert_induction_matches(params, contract, grid):
+    """Induction against the enumerator, and at d = 1 the brute enumerator,
+    to 1e-12; returns the induction's price."""
     exact = exact_lattice_price(params, contract, grid)
     price, total_mass = _enumerate_lattice(params, contract, grid)
     assert abs(exact.price - price) <= 1e-12
@@ -545,6 +544,74 @@ def test_induction_matches_enumeration(instance):
     if params.d == 1 and isinstance(contract, AutocallableSpec):
         reference, _ = brute_force_lattice_price(params, contract, grid)
         assert abs(exact.price - reference) <= 1e-12
+    return exact.price
+
+
+@given(induction_instances())
+@settings(max_examples=60, deadline=None)
+def test_induction_matches_enumeration(instance):
+    assert_induction_matches(*instance)
+
+
+def horizon_returns(params, grid):
+    """Every cumulative return a one-asset lattice reaches at step T."""
+    law = lattice(grid, params)
+    T, cells = params.n_steps, len(law.coords)
+    dz = (law.coords[-1] - law.coords[0]) / (cells - 1)
+    index = T * law.coords[0] + np.arange(T * (cells - 1) + 1) * dz
+    return np.exp(T * law.mu[0] + law.chol[0, 0] * index)
+
+
+class TestInductionDates:
+    """Dates on which the induction's per-row payoff sum must get one rule right."""
+
+    def test_first_knock_in_on_the_horizon_settles_the_put(self):
+        # The horizon is the only barrier date and every coupon is zero, so
+        # the whole price is the put, settled by mass that row 0 knocks in
+        # on the horizon step itself.
+        params = small_params()
+        contract = dataclasses.replace(
+            small_autocall(),
+            binaries=tuple((K, t, 0.0) for K, t, _ in small_autocall().binaries),
+            barrier_dates=(1.0,),
+        )
+        price = assert_induction_matches(params, contract, GridSpec(n=3, w=4.0))
+        assert price < -1e-3
+
+    def test_coupon_and_put_share_the_horizon(self):
+        # The horizon coupon's strike is below k_put and the barrier is
+        # k_put, so mass ending in [0.85, 1) is knocked in and paid at once:
+        # it takes the coupon and must not settle the put too.
+        params = small_params()
+        contract = AutocallableSpec(
+            binaries=((1.2, 1.0 / 3.0, 2.0), (0.85, 1.0, 6.0)),
+            k_put=1.0,
+            barrier=1.0,
+            notional=18.0,
+            barrier_dates=(1.0 / 3.0, 2.0 / 3.0, 1.0),
+        )
+        grid = GridSpec(n=3, w=4.0)
+        final = horizon_returns(params, grid)
+        assert np.any((final >= 0.85) & (final < 1.0))
+        assert_induction_matches(params, contract, grid)
+
+    def test_best_of_basket_d2(self):
+        params = GBMParams(
+            r=0.02, sigmas=(0.2, 0.35), rho=((1.0, 0.4), (0.4, 1.0)),
+            dt=1.0 / 3.0, n_steps=3, s0=(1.0, 1.0),
+        )
+        worst = AutocallableSpec(
+            binaries=((1.05, 1.0 / 3.0, 1.0), (1.05, 2.0 / 3.0, 2.0), (1.05, 1.0, 3.0)),
+            k_put=1.0,
+            barrier=0.8,
+            notional=5.0,
+            barrier_dates=(1.0 / 3.0, 2.0 / 3.0, 1.0),
+        )
+        best = dataclasses.replace(worst, basket="best_of")
+        grid = GridSpec(n=2, w=4.0)
+        assert assert_induction_matches(params, best, grid) > (
+            assert_induction_matches(params, worst, grid) + 0.1
+        )
 
 
 def dated_tarf(T):
