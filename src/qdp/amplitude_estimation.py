@@ -1,5 +1,5 @@
 """
-Simulated iterative amplitude estimation and its worst-case call bound.
+Simulated iterative amplitude estimation and its oracle-call estimate.
 
 A state-preparation operator A marks an amplitude sqrt(a); applying the
 Grover operator Q k times rotates the marked probability to
@@ -23,9 +23,12 @@ import numpy as np
 
 
 def oracle_call_bound(epsilon: float, alpha: float) -> float:
-    """Worst-case Grover-oracle applications for accuracy epsilon, confidence 1-alpha.
+    """Typical Grover-oracle applications for accuracy epsilon, confidence 1-alpha.
 
-    1.4/epsilon * ln(2/alpha * log2(pi/(4 epsilon))).
+    1.4/epsilon * ln(2/alpha * log2(pi/(4 epsilon))).  This is a typical
+    count, not a worst-case bound: ``iqae_estimate`` can exceed it.  At
+    epsilon=3e-2, alpha=0.32, 87 of 1000 runs did, by up to 1.33x, on
+    amplitudes drawn uniformly by ``default_rng(0)`` with run i at seed i.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
@@ -88,20 +91,18 @@ class EstimationResult:
     rounds: int
 
 
-def _find_next_k(
-    k: int, theta_l: float, theta_u: float, up: bool, r: float = 2.0
-) -> tuple[int, bool]:
+def _find_next_k(k: int, theta_l: float, theta_u: float, up: bool) -> tuple[int, bool]:
     """Largest usable Grover power given the current theta interval.
 
     Searches for K = 4k+2 such that the scaled interval
     [K theta_l, K theta_u] lies in one half-plane of the unit circle
-    (where cos is invertible up to sign), requiring growth by at least
-    ``r``; returns the old power when no better one exists.
+    (where cos is invertible up to sign), requiring K to at least double;
+    returns the old power when no better one exists.
     """
     K_max = int(math.floor(math.pi / (theta_u - theta_l)))
     K_cur = 4 * k + 2
     K = K_max - (K_max - 2) % 4  # largest K congruent to 2 mod 4
-    while K >= r * K_cur:
+    while K >= 2.0 * K_cur:
         q = K * theta_l / math.pi
         if int(q) == int(K * theta_u / math.pi):
             return (K - 2) // 4, int(q) % 2 == 0
@@ -126,7 +127,7 @@ def _clopper_pearson(ones: int, shots: int, alpha: float) -> tuple[float, float]
 
 
 # Measurement batch size per round; small batches keep the total oracle
-# consumption under the worst-case bound.
+# consumption near ``oracle_call_bound``, which runs can still exceed.
 SHOTS_PER_ROUND = 2
 
 

@@ -11,6 +11,13 @@ Payoffs are evaluated on observed paths: cumulative simple returns for
 autocallables, prices at payment dates for TARFs.  Discounted payoffs are
 mapped to [0, 1] through contract-level bounds (f_min, f_max) so the same
 normalization the quantum estimators assume can be checked classically.
+
+Each contract's discounted payoff on a batch of paths is one fold,
+``_payoff_fold``, run by ``_fold_paths``: a step per observation date
+over the paths' growth factors S_t / S_0, with the contract's dates
+resolved to columns once (``_resolve_dates``).  The pricing engines and
+both batch payoffs run it; the scalar payoffs ``autocall_payoff`` and
+``tarf_payoff`` do not, so they stay an independent check of it.
 """
 
 from __future__ import annotations
@@ -270,14 +277,6 @@ def date_columns(times, dates) -> np.ndarray:
     return cols
 
 
-def _autocall_columns(times, spec: AutocallableSpec):
-    """Columns of the binary dates, the barrier dates, and the horizon."""
-    m, n_barrier = len(spec.binaries), len(spec.barrier_dates)
-    dates = [t for _, t, _ in spec.binaries] + list(spec.barrier_dates) + [spec.horizon]
-    cols = date_columns(times, dates)
-    return cols[:m], cols[m : m + n_barrier], cols[-1]
-
-
 def _reduce_basket(values: np.ndarray, basket: str) -> np.ndarray:
     """Collapse a trailing asset axis to worst-of or best-of."""
     if values.ndim == 1:
@@ -308,7 +307,7 @@ def autocall_payoff(times, cum_returns, spec: AutocallableSpec):
         (possibly negative).  Empty when nothing pays.
     """
     values = _reduce_basket(np.asarray(cum_returns, dtype=float), spec.basket)
-    binary_cols, barrier_cols, final_col = _autocall_columns(times, spec)
+    binary_cols, barrier_cols, final_col = _resolve_dates(times, spec, 1)
     for (strike, t, payout), col in zip(spec.binaries, binary_cols):
         if values[col] >= strike:
             return [(t, payout)]
@@ -392,17 +391,50 @@ def payoff_bounds(spec, r: float) -> PayoffBounds:
     raise TypeError(f"no payoff bounds for contract type {type(spec).__name__}")
 
 
-def _autocall_start(batch: int):
-    """Autocallable state before the first column: nothing paid or knocked in."""
-    return np.zeros(batch), np.zeros(batch, dtype=bool), np.zeros(batch, dtype=bool)
+def _resolve_dates(times, contract, d: int):
+    """A contract's dates as columns of the observation ``times``, resolved once per fold.
+
+    An autocallable's are (binary columns, barrier columns, horizon
+    column).  A TARF's are its payment columns: it observes one price at
+    each of ``times``, so it needs one payment date per time.  A European
+    call observes only the last time, its horizon, which its expiry must
+    match within ``DATE_TOLERANCE``, and has no columns (None).  A TARF
+    and a call need a single underlying, ``d == 1``.
+    """
+    times = np.asarray(times, dtype=float)
+    if isinstance(contract, AutocallableSpec):
+        m, n_barrier = len(contract.binaries), len(contract.barrier_dates)
+        dates = [t for _, t, _ in contract.binaries] + [*contract.barrier_dates, contract.horizon]
+        cols = date_columns(times, dates)
+        return cols[:m], cols[m : m + n_barrier], cols[-1]
+    if isinstance(contract, TARFSpec):
+        if d != 1:
+            raise ValueError("TARF evaluation requires a single underlying")
+        if contract.n_dates != len(times):
+            raise ValueError(
+                f"expected {contract.n_dates} price observations, got {len(times)}"
+            )
+        # A misaligned payment date would be discounted at the wrong time.
+        return date_columns(times, contract.payment_times)
+    if isinstance(contract, EuropeanCallSpec):
+        if d != 1:
+            raise ValueError("European call evaluation requires a single underlying")
+        # Another expiry than the horizon would be discounted at the wrong time.
+        if abs(contract.expiry - times[-1]) > DATE_TOLERANCE:
+            raise ValueError(
+                f"call expiry {contract.expiry} is not the model horizon "
+                f"dt * T = {float(times[-1])}"
+            )
+        return None
+    raise TypeError(f"unsupported contract type {type(contract).__name__}")
 
 
 def _autocall_date(state, value, col: int, columns, spec: AutocallableSpec, r: float):
     """One observation column of an autocallable, on a batch of paths.
 
     ``state`` is (discounted payoff, paid, knocked in), ``value`` the
-    basket-reduced cumulative return at column ``col`` and ``columns`` the
-    resolved ``_autocall_columns``.  A binary on this column pays if no
+    basket-reduced growth at column ``col`` and ``columns`` the
+    autocallable's ``_resolve_dates``.  A binary on this column pays if no
     earlier one did; a barrier date knocks the put in below the barrier;
     the horizon settles the put.
     """
@@ -421,38 +453,6 @@ def _autocall_date(state, value, col: int, columns, spec: AutocallableSpec, r: f
             put, math.exp(-r * spec.horizon) * spec.notional * (value - spec.k_put), payoff
         )
     return payoff, paid, knocked
-
-
-def autocall_payoff_batch(
-    times, cum_returns: np.ndarray, spec: AutocallableSpec, r: float
-) -> np.ndarray:
-    """Discounted autocallable payoffs for a batch of paths.
-
-    Parameters
-    ----------
-    times : array_like, shape (m,)
-        Observation dates shared by all paths.
-    cum_returns : np.ndarray, shape (batch, m) or (batch, m, d)
-    r : float
-        Discount rate.
-
-    Returns
-    -------
-    np.ndarray, shape (batch,)
-    """
-    values = np.asarray(cum_returns, dtype=float)
-    if values.ndim == 3:
-        values = _reduce_basket(values, spec.basket)
-    columns = _autocall_columns(times, spec)
-    state = _autocall_start(values.shape[0])
-    for col in range(int(columns[2]) + 1):
-        state = _autocall_date(state, values[:, col], col, columns, spec, r)
-    return state[0]
-
-
-def _tarf_start(batch: int):
-    """TARF state before the first date: nothing paid, every path alive."""
-    return np.zeros(batch), np.zeros(batch), np.ones(batch, dtype=bool)
 
 
 def _tarf_date(state, s: np.ndarray, spec: TARFSpec, disc: float):
@@ -477,13 +477,96 @@ def _tarf_date(state, s: np.ndarray, spec: TARFSpec, disc: float):
     return paid, np.where(alive, total, running), alive
 
 
+def _payoff_fold(times, contract, r: float, s0):
+    """A contract's discounted payoff as a fold over observation dates: (start, step, value, done).
+
+    ``start`` is the payoff state before the first date, a tuple of
+    length-1 arrays that broadcast against any batch; ``step(state,
+    growth, t)`` observes column t of ``times`` given each path's growth
+    factors S_t / S_0 there, ``growth`` of shape (P, d) or (P,), and
+    ``value(state, growth)`` is the discounted payoff of complete paths
+    given their final growth.  ``done(state)`` marks the paths whose
+    payoff no later date can change: paid for an autocallable, knocked
+    out or capped for a TARF, never for a call; ``_fold_paths`` ignores
+    it and the lattice enumerator retires those paths early.  A TARF and
+    a call pay on the prices ``s0[0] * growth``; an autocallable reads
+    growth directly, reduced over its basket, and ignores ``s0``.
+    ``len(s0)`` is the asset count d.  One start serves every batch and
+    thread, so a step returns new arrays and never writes its state in
+    place.
+    """
+    columns = _resolve_dates(times, contract, len(s0))
+    if isinstance(contract, AutocallableSpec):
+        final_col = int(columns[2])
+
+        def step(state, growth, t):
+            if t > final_col:
+                return state
+            value = _reduce_basket(growth, contract.basket)
+            return _autocall_date(state, value, t, columns, contract, r)
+
+        start = (np.zeros(1), np.zeros(1, dtype=bool), np.zeros(1, dtype=bool))
+        return start, step, lambda state, growth: state[0], lambda state: state[1]
+    spot = s0[0]
+    if isinstance(contract, TARFSpec):
+        discs = [math.exp(-r * t) for t in contract.payment_times]
+
+        def step(state, growth, t):
+            return _tarf_date(state, spot * growth[:, 0], contract, discs[t])
+
+        start = (np.zeros(1), np.zeros(1), np.ones(1, dtype=bool))
+        return start, step, lambda state, growth: state[0], lambda state: ~state[2]
+    return (
+        (),
+        lambda state, growth, t: state,
+        lambda state, growth: _call_payoff(spot * growth[:, 0], contract, r),
+        lambda state: np.zeros(1, dtype=bool),
+    )
+
+
+def _fold_paths(fold, growth: np.ndarray) -> np.ndarray:
+    """Discounted payoffs under ``fold`` of paths with growth factors ``growth``.
+
+    ``growth`` is (batch, times, d), or (batch, times) for an autocallable
+    whose assets are already reduced.
+    """
+    state, step, value, _ = fold
+    for t in range(growth.shape[1]):
+        state = step(state, growth[:, t], t)
+    return value(state, growth[:, -1])
+
+
+def autocall_payoff_batch(
+    times, cum_returns: np.ndarray, spec: AutocallableSpec, r: float
+) -> np.ndarray:
+    """Discounted autocallable payoffs for a batch of paths, by ``_payoff_fold``.
+
+    Parameters
+    ----------
+    times : array_like, shape (m,)
+        Observation dates shared by all paths.
+    cum_returns : np.ndarray, shape (batch, m) or (batch, m, d)
+        Cumulative simple returns, the growth factors S_t / S_0.
+    r : float
+        Discount rate.
+
+    Returns
+    -------
+    np.ndarray, shape (batch,)
+    """
+    values = np.asarray(cum_returns, dtype=float)
+    if values.shape[1] != len(times):
+        raise ValueError(f"expected {len(times)} observations, got {values.shape[1]}")
+    return _fold_paths(_payoff_fold(times, spec, r, (1.0,)), values)
+
+
 def tarf_payoff_batch(prices: np.ndarray, spec: TARFSpec, r: float) -> np.ndarray:
-    """Discounted TARF payoffs for a batch of paths.
+    """Discounted TARF payoffs for a batch of paths, by ``_payoff_fold``.
 
     Parameters
     ----------
     prices : np.ndarray, shape (batch, T)
-        Prices at the payment dates.
+        Prices at the T payment dates, read as growth from a start of 1.
     r : float
         Discount rate.
 
@@ -496,12 +579,7 @@ def tarf_payoff_batch(prices: np.ndarray, spec: TARFSpec, r: float) -> np.ndarra
         raise ValueError(
             f"expected {spec.n_dates} price observations, got {prices.shape[1]}"
         )
-    state = _tarf_start(prices.shape[0])
-    for i, t in enumerate(spec.payment_times):
-        state = _tarf_date(state, prices[:, i], spec, math.exp(-r * t))
-        if not state[2].any():
-            break
-    return state[0]
+    return _fold_paths(_payoff_fold(spec.payment_times, spec, r, (1.0,)), prices[:, :, None])
 
 
 def _call_payoff(s_T: np.ndarray, spec: EuropeanCallSpec, r: float) -> np.ndarray:

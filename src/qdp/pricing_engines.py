@@ -11,11 +11,14 @@ afterwards, so a (seed, n_paths) pair gives the same bit-identical
 estimate at any CPU count.
 
 Both path engines, Monte Carlo and the lattice enumerator, fold one
-per-contract payoff (``_payoff_fold``): a step per date over cumulative
-log-returns, with the contract's dates resolved to step columns once per
-call.  So the sampled paths and the lattice pay by the same function,
-and forward induction evaluates each autocallable date by the same
-``contracts._autocall_date``, on its mass grid.
+per-contract payoff, ``contracts._payoff_fold``: a step per date over
+growth factors S_t / S_0, with the contract's dates resolved to step
+columns once per call.  This module keeps the model side: Monte Carlo
+sums each chunk's log-returns along the path and exponentiates the
+chunk once, in place; the enumerator exponentiates each block of
+cumulative log-returns once.  So the sampled paths and the lattice pay
+by the same function, and forward induction evaluates each autocallable
+date by the same ``contracts._autocall_date``, on its mass grid.
 
 The exact lattice pricer sums mass * discounted payoff over every path
 of the step law that the re-parameterization circuit loads
@@ -53,12 +56,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import contracts
-from .contracts import (
-    AutocallableSpec,
-    EuropeanCallSpec,
-    TARFSpec,
-    payoff_bounds,
-)
+from .contracts import EuropeanCallSpec, TARFSpec, payoff_bounds
 from .market_model import (
     GBMParams,
     GridSpec,
@@ -111,103 +109,9 @@ def _chunk_normals(seed: int, chunk_index: int, shape: tuple[int, ...]) -> np.nd
     return ndtri(u, out=u)
 
 
-def _resolve_dates(params: GBMParams, contract):
-    """A contract's dates as step columns, resolved once per engine call.
-
-    Returns ``_autocall_columns`` for an autocallable and the payment
-    columns for a TARF; a European call observes only its horizon (None),
-    which its expiry must match within ``DATE_TOLERANCE``.
-    """
-    times = params.dt * np.arange(1, params.n_steps + 1)
-    if isinstance(contract, AutocallableSpec):
-        return contracts._autocall_columns(times, contract)
-    if isinstance(contract, TARFSpec):
-        if params.d != 1:
-            raise ValueError("TARF evaluation requires a single underlying")
-        if contract.n_dates != params.n_steps:
-            raise ValueError(
-                f"expected {contract.n_dates} price observations, got {params.n_steps}"
-            )
-        # Prices are observed at the model steps, so every payment date must
-        # be one of them; a misaligned date would be discounted at the wrong time.
-        return contracts.date_columns(times, contract.payment_times)
-    if isinstance(contract, EuropeanCallSpec):
-        if params.d != 1:
-            raise ValueError("European call evaluation requires a single underlying")
-        # Paths end at the horizon; another expiry would be discounted at the
-        # wrong time.
-        if abs(contract.expiry - params.horizon) > contracts.DATE_TOLERANCE:
-            raise ValueError(
-                f"call expiry {contract.expiry} is not the model horizon "
-                f"dt * T = {params.horizon}"
-            )
-        return None
-    raise TypeError(f"unsupported contract type {type(contract).__name__}")
-
-
-def _payoff_fold(params: GBMParams, contract):
-    """A contract's discounted payoff as a fold over path steps: (start, step, value, done).
-
-    ``start`` is the payoff state before the first step, a tuple of
-    length-1 arrays that broadcast against any batch; ``step(state, cum,
-    t)`` observes step t given each path's per-asset cumulative
-    log-returns ``cum`` (P, d), and ``value(state, cum)`` is the
-    discounted payoff of complete paths.  ``done(state)`` marks the paths
-    whose payoff no later step can change: paid for an autocallable,
-    knocked out or capped for a TARF, never for a call.  Monte Carlo folds
-    it over sampled paths and ignores ``done``; the enumerator folds it
-    over lattice prefixes and retires the done ones.  One start serves
-    every chunk and thread, so a step returns new arrays and never writes
-    its state in place.
-    """
-    columns = _resolve_dates(params, contract)
-    r = params.r
-    if isinstance(contract, AutocallableSpec):
-        final_col = int(columns[2])
-
-        def step(state, cum, t):
-            if t > final_col:
-                return state
-            value = contracts._reduce_basket(np.exp(cum), contract.basket)
-            return contracts._autocall_date(state, value, t, columns, contract, r)
-
-        return (
-            contracts._autocall_start(1),
-            step,
-            lambda state, cum: state[0],
-            lambda state: state[1],
-        )
-    s0 = params.s0[0]
-    if isinstance(contract, TARFSpec):
-        discs = [math.exp(-r * t) for t in contract.payment_times]
-
-        def step(state, cum, t):
-            return contracts._tarf_date(state, s0 * np.exp(cum[:, 0]), contract, discs[t])
-
-        return (
-            contracts._tarf_start(1),
-            step,
-            lambda state, cum: state[0],
-            lambda state: ~state[2],
-        )
-    return (
-        (),
-        lambda state, cum, t: state,
-        lambda state, cum: contracts._call_payoff(s0 * np.exp(cum[:, 0]), contract, r),
-        lambda state: np.zeros(1, dtype=bool),
-    )
-
-
-def _fold_paths(fold, returns: np.ndarray) -> np.ndarray:
-    """Discounted payoffs of log-return paths (batch, T, d) under ``fold``.
-
-    The cumulative sums are taken in place, so ``returns`` is overwritten.
-    """
-    state, step, value, _ = fold
-    cum = np.cumsum(returns, axis=1, out=returns)
-    for t in range(cum.shape[1]):
-        state = step(state, cum[:, t], t)
-    return value(state, cum[:, -1])
+def _step_times(params: GBMParams) -> np.ndarray:
+    """The model's observation times dt, 2 dt, ..., T dt."""
+    return params.dt * np.arange(1, params.n_steps + 1)
 
 
 def _cpu_count() -> int:
@@ -298,7 +202,7 @@ def mc_price(
     if n_paths < 2:
         raise ValueError(f"need at least 2 paths, got n_paths={n_paths}")
     d, T = params.d, params.n_steps
-    fold = _payoff_fold(params, contract)
+    fold = contracts._payoff_fold(_step_times(params), contract, params.r, params.s0)
     mu = params.step_means()
     L = cholesky_factor(build_covariance(params))
 
@@ -315,7 +219,8 @@ def mc_price(
         else:
             z = z @ L.T
         z += mu
-        payoffs = _fold_paths(fold, z)
+        growth = np.exp(np.cumsum(z, axis=1, out=z), out=z)
+        payoffs = contracts._fold_paths(fold, growth)
         return float(np.sum(payoffs)), float(np.sum(payoffs * payoffs))
 
     # Fixed reduction order: chunk sums accumulate serially in chunk order.
@@ -419,7 +324,8 @@ def _enumerate_lattice(
     mass the product of its registers' masses and returns mu + L @ z.  The
     lattice is walked depth first: each prefix carries its mass (the plain
     product of its step masses), its per-asset cumulative log-return and
-    its payoff state, so a date's payoff step runs once per prefix.
+    its payoff state, so a date's payoff step runs once per prefix, on the
+    block's growth factors, exponentiated once per block.
 
     A prefix whose payoff is final (``done`` of the payoff fold) after
     step t is retired there: its mass p adds p * m^(T-1-t) to the total
@@ -439,7 +345,9 @@ def _enumerate_lattice(
             f"lattice enumeration at n={grid.n}, d={d}, T={T} has {n_paths} "
             "paths (> 2^26); reduce n, d, or T"
         )
-    start, step, value, done = _payoff_fold(params, contract)
+    start, step, value, done = contracts._payoff_fold(
+        _step_times(params), contract, params.r, params.s0
+    )
     mu = params.step_means()
     chol = cholesky_factor(build_covariance(params))
     n_states = 2 ** (grid.n * d)
@@ -463,10 +371,10 @@ def _enumerate_lattice(
     mass_parts: list[float] = []
     price_parts: list[float] = []
 
-    def retire(prob, cum, state, later: float) -> None:
+    def retire(prob, growth, state, later: float) -> None:
         """Add finished prefixes, each standing for ``later`` times its mass."""
         mass_parts.append(later * float(np.sum(prob)))
-        price_parts.append(later * float(np.sum(prob * value(state, cum))))
+        price_parts.append(later * float(np.sum(prob * value(state, growth))))
 
     def walk(prob, cum, state, t: int) -> None:
         """Extend the live prefixes by step t, block by block, down to step T."""
@@ -476,20 +384,21 @@ def _enumerate_lattice(
                 last = first + block
                 child_prob = (prob[first:last, None] * pmf).reshape(-1)
                 child_cum = (cum[first:last, None, :] + returns).reshape(-1, d)
+                growth = np.exp(child_cum)
                 child_state = step(
                     tuple(np.repeat(a[first:last], len(pmf)) for a in state),
-                    child_cum,
+                    growth,
                     t,
                 )
                 if t + 1 == T:
-                    retire(child_prob, child_cum, child_state, later)
+                    retire(child_prob, growth, child_state, later)
                     continue
                 finished = done(child_state)
                 if finished.any():
                     out = np.flatnonzero(finished)
                     retire(
                         child_prob[out],
-                        child_cum[out],
+                        growth[out],
                         tuple(a[out] for a in child_state),
                         later,
                     )
@@ -519,7 +428,7 @@ def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float,
     and leaves, and the row-0 mass it knocks in moves to row 1.
     """
     d, T = params.d, params.n_steps
-    columns = _resolve_dates(params, contract)
+    columns = contracts._resolve_dates(_step_times(params), contract, d)
     call = columns is None
     steps, rows = (T, 1) if call else (int(columns[2]) + 1, 2)
     cells = 2**grid.n

@@ -164,6 +164,8 @@ def piecewise_poly_depth(n: int, z: int, k: int, M: int) -> int:
     The M interval selections run as comparators before one parallel
     polynomial evaluation.
     """
+    if k < 0:
+        raise ValueError("polynomial degree must be nonnegative")
     if M < 1:
         raise ValueError("need M >= 1")
     return poly_eval_depth(n, z, k) + M * comparator_depth(n)
@@ -192,8 +194,6 @@ def exp_toffoli(n: int, p: int, k: int, M: int) -> int:
 def exp_resources(fmt: FixedPointFormat, k: int, M: int, z: int = 1) -> ResourceCount:
     """Exponential evaluated as a degree-k piecewise polynomial on M intervals."""
     n, p = fmt.n, fmt.p
-    if k < 0:
-        raise ValueError("polynomial degree must be nonnegative")
     toffoli = max(exp_toffoli(n, p, k, M), 0)
     depth = piecewise_poly_depth(n, z, k, M)
     return from_toffoli(toffoli, depth, piecewise_poly_qubits(n, k, M))

@@ -275,6 +275,15 @@ class TestEstimatorCommands:
         assert out == ""
         assert "1 <= z <= n" in err
 
+    @pytest.mark.parametrize("primitive", ["exp", "arcsin_sqrt"])
+    def test_qarith_rejects_negative_degree(self, tmp_path, capsys, primitive):
+        config = tmp_path / "qarith.json"
+        config.write_text(json.dumps({"primitive": primitive, "k": -1, "n_values": [16]}))
+        code, out, err = run_cli(capsys, "qarith", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "polynomial degree must be nonnegative" in err
+
     def test_table1_matches_golden(self, capsys):
         golden = Path(__file__).parent / "data" / "table1_golden.json"
         code, out, err = run_cli(capsys, "table1")

@@ -113,6 +113,14 @@ class TestDateColumns:
         with pytest.raises(ValueError, match="missing observation date 0.62"):
             date_columns([0.2, 0.4, 0.6], [0.2, 0.62])
 
+    def test_batch_width_must_match_dates(self, autocall_fixture, tarf_fixture):
+        autocall = contract_from_dict(autocall_fixture["contract"])
+        with pytest.raises(ValueError, match="expected 3 observations, got 2"):
+            autocall_payoff_batch([1.0, 2.0, 3.0], np.ones((4, 2)), autocall, 0.0)
+        tarf = contract_from_dict(tarf_fixture["contract"])
+        with pytest.raises(ValueError, match="expected 3 price observations, got 2"):
+            tarf_payoff_batch(np.ones((4, 2)), tarf, 0.0)
+
     def test_scalar_and_batch_agree_on_rounded_times(self):
         spec = AutocallableSpec(
             binaries=((1.1, 0.3, 2.0), (1.1, 0.6, 4.0)),

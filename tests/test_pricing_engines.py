@@ -22,6 +22,8 @@ from qdp.contracts import (
     AutocallableSpec,
     EuropeanCallSpec,
     TARFSpec,
+    _fold_paths,
+    _payoff_fold,
     autocall_payoff,
     autocall_payoff_batch,
     contract_from_dict,
@@ -42,12 +44,17 @@ from qdp.pricing_engines import (
     MAX_LATTICE_PATHS,
     _chunk_normals,
     _enumerate_lattice,
-    _fold_paths,
-    _payoff_fold,
     black_scholes_call,
     exact_lattice_price,
     mc_price,
 )
+
+
+def fold_returns(params, contract, returns):
+    """Discounted payoffs of log-return paths (batch, T, d) under the contract's fold."""
+    times = params.dt * np.arange(1, params.n_steps + 1)
+    fold = _payoff_fold(times, contract, params.r, params.s0)
+    return _fold_paths(fold, np.exp(np.cumsum(returns, axis=1)))
 
 
 def small_params(sigma=0.3, r=0.02, dt=1.0 / 3.0, n_steps=3, s0=1.0):
@@ -168,6 +175,8 @@ class TestMonteCarlo:
 def serial_mc_reference(params, contract, n_paths, seed):
     """The single-threaded loop ``mc_price`` replaced: per chunk, returns
     ``mu + z @ L.T`` and out-of-place payoffs; chunk sums added in order.
+    The batch payoffs run the engine's own fold, so this checks chunking
+    and threading; ``test_batch_matches_scalar`` checks the payoff.
 
     Returns (estimate, stderr).
     """
@@ -647,7 +656,7 @@ class TestEnumerationAccuracy:
         law = lattice(grid, params)
         steps = law.mu + law.coords[:, None] @ law.chol.T
         paths = np.array(list(itertools.product(range(len(law.masses)), repeat=T)))
-        payoffs = _fold_paths(_payoff_fold(params, contract), steps[paths])
+        payoffs = fold_returns(params, contract, steps[paths])
         masses = [Fraction(m) for m in law.masses]
         exact = sum(
             Fraction(f) * math.prod(masses[i] for i in path)
@@ -752,7 +761,7 @@ def test_mc_payoffs_within_payoff_bounds(instance, seed):
     params, contract = instance
     L = cholesky_factor(build_covariance(params))
     returns = params.step_means() + _chunk_normals(seed, 0, (512, params.n_steps, params.d)) @ L.T
-    payoffs = _fold_paths(_payoff_fold(params, contract), returns)
+    payoffs = fold_returns(params, contract, returns)
     bounds = payoff_bounds(contract, params.r)
     assert payoffs.shape == (512,)
     assert np.all(payoffs >= bounds.f_min)
@@ -772,7 +781,7 @@ def test_capped_tarf_payment_within_payoff_bounds():
     )
     L = cholesky_factor(build_covariance(params))
     returns = params.step_means() + _chunk_normals(0, 0, (512, 3, 1)) @ L.T
-    payoffs = _fold_paths(_payoff_fold(params, contract), returns)
+    payoffs = fold_returns(params, contract, returns)
     bounds = payoff_bounds(contract, params.r)
     assert payoffs.max() > contract.cap
     assert np.all(payoffs >= bounds.f_min)
@@ -796,6 +805,22 @@ def fold_cases(tarf_fixture):
         notional=5.0,
         barrier_dates=(1.0 / 3.0, 2.0 / 3.0, 1.0),
     )
+
+    def d3(rho):
+        return GBMParams(
+            r=0.02, sigmas=(0.2, 0.3, 0.25),
+            rho=((1.0, rho, rho / 2), (rho, 1.0, rho), (rho / 2, rho, 1.0)),
+            dt=0.5, n_steps=2, s0=(1.0, 1.0, 1.0),
+        )
+
+    def d3_autocall(basket):
+        strike = 1.0 if basket == "worst_of" else 1.15
+        return AutocallableSpec(
+            binaries=((strike, 0.5, 1.0), (strike, 1.0, 2.0)),
+            k_put=1.0, barrier=0.85, notional=5.0, barrier_dates=(0.5, 1.0),
+            basket=basket,
+        )
+
     return {
         "autocallable-d1": (d1, small_autocall(), GridSpec(n=3, w=4.0)),
         "tarf-d1": (
@@ -808,6 +833,10 @@ def fold_cases(tarf_fixture):
         ),
         "autocallable-d2-independent": (d2(0.0), d2_autocall, GridSpec(n=2, w=4.0)),
         "autocallable-d2-correlated": (d2(0.5), d2_autocall, GridSpec(n=2, w=4.0)),
+        "worst-of-d3-independent": (d3(0.0), d3_autocall("worst_of"), GridSpec(n=2, w=4.0)),
+        "worst-of-d3-correlated": (d3(0.4), d3_autocall("worst_of"), GridSpec(n=2, w=4.0)),
+        "best-of-d3-independent": (d3(0.0), d3_autocall("best_of"), GridSpec(n=2, w=4.0)),
+        "best-of-d3-correlated": (d3(0.4), d3_autocall("best_of"), GridSpec(n=2, w=4.0)),
     }
 
 
@@ -819,6 +848,10 @@ def fold_cases(tarf_fixture):
         "call-d1",
         "autocallable-d2-independent",
         "autocallable-d2-correlated",
+        "worst-of-d3-independent",
+        "worst-of-d3-correlated",
+        "best-of-d3-independent",
+        "best-of-d3-correlated",
     ],
 )
 def test_fold_on_lattice_paths_matches_exact_engines(tarf_fixture, case):
@@ -830,7 +863,7 @@ def test_fold_on_lattice_paths_matches_exact_engines(tarf_fixture, case):
     params, contract, grid = fold_cases(tarf_fixture)[case]
     n_paths, T, d = 20_000, params.n_steps, params.d
     returns = lattice(grid, params).sample_returns(n_paths * T, seed=5)
-    payoffs = _fold_paths(_payoff_fold(params, contract), returns.reshape(n_paths, T, d))
+    payoffs = fold_returns(params, contract, returns.reshape(n_paths, T, d))
     stderr = float(np.std(payoffs, ddof=1)) / math.sqrt(n_paths)
     exact = exact_lattice_price(params, contract, grid)
     assert stderr > 0

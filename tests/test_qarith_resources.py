@@ -130,6 +130,11 @@ class TestPiecewisePolynomial:
         m1 = exp_resources(fmt, 2, 1, z=4)
         assert m1.t_depth == 2 * (mul_depth(16, 4) + add_depth(16)) + comparator_depth(16)
 
+    @pytest.mark.parametrize("resources", [exp_resources, arcsin_sqrt_resources])
+    def test_negative_degree_rejected(self, resources):
+        with pytest.raises(ValueError, match="polynomial degree must be nonnegative"):
+            resources(FixedPointFormat(n=16, p=2), -1, 8)
+
     def test_arcsin_sqrt_depth_identity(self):
         fmt = FixedPointFormat(n=34, p=2)
         arc = arcsin_sqrt_resources(fmt, 3, 32, z=34)
