@@ -8,7 +8,8 @@ show how angle digitization degrades the L-infinity loss.
 import numpy as np
 
 from qdp.circuit_estimator import loader_gate_resources
-from qdp.gaussian_loader import LoaderTarget, RyCnotAnsatz, digitize, train_sweep
+from qdp.gaussian_loader import RyCnotAnsatz, digitize, train_sweep
+from qdp.market_model import GridSpec
 
 N_QUBITS = 4
 
@@ -28,7 +29,7 @@ def main():
     best_depth = depths[-1]
     best = sweep[best_depth]
     ansatz = RyCnotAnsatz(n=N_QUBITS, L=best_depth)
-    target = LoaderTarget(n=N_QUBITS)
+    target = GridSpec(n=N_QUBITS)
     print("\nangle digitization at the deepest setting:")
     for m_digit in (100, 1_000, 10_000, 100_000):
         out = digitize(best.best_params, m_digit, ansatz, target)

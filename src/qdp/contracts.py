@@ -277,17 +277,6 @@ def date_columns(times, dates) -> np.ndarray:
     return cols
 
 
-def _reduce_basket(values: np.ndarray, basket: str) -> np.ndarray:
-    """Collapse a trailing asset axis to worst-of or best-of."""
-    if values.ndim == 1:
-        return values
-    # An elementwise fold over per-asset slices: a reduction along a short
-    # trailing axis costs about 20x more per element.
-    return functools.reduce(
-        _BASKET_OPS[basket], [values[..., j] for j in range(values.shape[-1])]
-    )
-
-
 def autocall_payoff(times, cum_returns, spec: AutocallableSpec):
     """Evaluate an autocallable on one observed cumulative-return path.
 
@@ -306,7 +295,8 @@ def autocall_payoff(times, cum_returns, spec: AutocallableSpec):
         At most one entry: either a binary coupon or the put settlement
         (possibly negative).  Empty when nothing pays.
     """
-    values = _reduce_basket(np.asarray(cum_returns, dtype=float), spec.basket)
+    values = np.asarray(cum_returns, dtype=float)
+    values = functools.reduce(_BASKET_OPS[spec.basket], values.reshape(len(values), -1).T)
     binary_cols, barrier_cols, final_col = _resolve_dates(times, spec, 1)
     for (strike, t, payout), col in zip(spec.binaries, binary_cols):
         if values[col] >= strike:
@@ -483,14 +473,16 @@ def _payoff_fold(times, contract, r: float, s0):
     ``start`` is the payoff state before the first date, a tuple of
     length-1 arrays that broadcast against any batch; ``step(state,
     growth, t)`` observes column t of ``times`` given each path's growth
-    factors S_t / S_0 there, ``growth`` of shape (P, d) or (P,), and
-    ``value(state, growth)`` is the discounted payoff of complete paths
-    given their final growth.  ``done(state)`` marks the paths whose
-    payoff no later date can change: paid for an autocallable, knocked
-    out or capped for a TARF, never for a call; ``_fold_paths`` ignores
-    it and the lattice enumerator retires those paths early.  A TARF and
-    a call pay on the prices ``s0[0] * growth``; an autocallable reads
-    growth directly, reduced over its basket, and ignores ``s0``.
+    factors S_t / S_0 there, and ``value(state, growth)`` is the
+    discounted payoff of complete paths given their final growth.
+    ``growth`` is asset-major: a sequence of d per-asset arrays that
+    broadcast together, such as the rows of a (d, P) array or the
+    per-asset grids of forward induction.  ``done(state)`` marks the paths
+    whose payoff no later date can change: paid for an autocallable,
+    knocked out or capped for a TARF, never for a call; ``_fold_paths``
+    ignores it and the lattice enumerator retires those paths early.  A
+    TARF and a call pay on the prices ``s0[0] * growth[0]``; an
+    autocallable reduces growth over its basket and ignores ``s0``.
     ``len(s0)`` is the asset count d.  One start serves every batch and
     thread, so a step returns new arrays and never writes its state in
     place.
@@ -498,11 +490,12 @@ def _payoff_fold(times, contract, r: float, s0):
     columns = _resolve_dates(times, contract, len(s0))
     if isinstance(contract, AutocallableSpec):
         final_col = int(columns[2])
+        basket_op = _BASKET_OPS[contract.basket]
 
         def step(state, growth, t):
             if t > final_col:
                 return state
-            value = _reduce_basket(growth, contract.basket)
+            value = functools.reduce(basket_op, growth)
             return _autocall_date(state, value, t, columns, contract, r)
 
         start = (np.zeros(1), np.zeros(1, dtype=bool), np.zeros(1, dtype=bool))
@@ -512,14 +505,14 @@ def _payoff_fold(times, contract, r: float, s0):
         discs = [math.exp(-r * t) for t in contract.payment_times]
 
         def step(state, growth, t):
-            return _tarf_date(state, spot * growth[:, 0], contract, discs[t])
+            return _tarf_date(state, spot * growth[0], contract, discs[t])
 
         start = (np.zeros(1), np.zeros(1), np.ones(1, dtype=bool))
         return start, step, lambda state, growth: state[0], lambda state: ~state[2]
     return (
         (),
         lambda state, growth, t: state,
-        lambda state, growth: _call_payoff(spot * growth[:, 0], contract, r),
+        lambda state, growth: _call_payoff(spot * growth[0], contract, r),
         lambda state: np.zeros(1, dtype=bool),
     )
 
@@ -527,13 +520,15 @@ def _payoff_fold(times, contract, r: float, s0):
 def _fold_paths(fold, growth: np.ndarray) -> np.ndarray:
     """Discounted payoffs under ``fold`` of paths with growth factors ``growth``.
 
-    ``growth`` is (batch, times, d), or (batch, times) for an autocallable
-    whose assets are already reduced.
+    ``growth`` is (batch, times, d), or (batch, times) for one asset or
+    an autocallable whose assets are already reduced.  Each date's growth
+    reaches the fold asset-major, as a (d, batch) view.
     """
     state, step, value, _ = fold
+    by_asset = np.moveaxis(growth.reshape(growth.shape[:2] + (-1,)), -1, 0)
     for t in range(growth.shape[1]):
-        state = step(state, growth[:, t], t)
-    return value(state, growth[:, -1])
+        state = step(state, by_asset[..., t], t)
+    return value(state, by_asset[..., -1])
 
 
 def autocall_payoff_batch(

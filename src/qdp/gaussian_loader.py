@@ -18,7 +18,10 @@ states of shape (..., 2^n), each row equal to the single call.
 Training follows a two-phase schedule: quasi-Newton descent on the
 energy of a harmonic oscillator whose ground state is the target
 Gaussian (m = 1/(2 sigma^2)), then a refinement phase targeting the
-infinity-norm loss between target cell masses and squared amplitudes:
+infinity-norm loss between target cell masses and squared amplitudes.
+The target is a ``market_model.GridSpec``: the loader is trained on the
+``coords`` and ``masses`` of the grid every register of the step law
+holds, and this module defines no grid of its own.  The refinement is
 quasi-Newton descent on the squared-error surrogate, then an exact SLSQP
 solve of the minimax problem in its epigraph form (loader training as in
 Zoufal et al., arXiv:1904.00043).  Every derivative comes from adjoint
@@ -37,12 +40,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .market_model import standard_normal_cells
+from .market_model import GridSpec, _read_only, check_integer
 
 MAX_QUBITS = 12
 
@@ -50,12 +52,6 @@ MAX_QUBITS = 12
 # 2^(n+1) floats per trial, so n = 4, L = 6 batches all 56 trials of a pass
 # and n = 12, L = 6 runs one trial at a time (8 MB).
 _DIGITIZE_BATCH_FLOATS = 2**20
-
-
-def _check_integer(name: str, value) -> None:
-    """Reject a ``value`` for field ``name`` that is a bool or not an integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +62,8 @@ class RyCnotAnsatz:
     L: int
 
     def __post_init__(self):
-        _check_integer("n", self.n)
-        _check_integer("L", self.L)
+        check_integer("n", self.n)
+        check_integer("L", self.L)
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"n must be in [1, {MAX_QUBITS}]")
         if self.L < 0:
@@ -84,11 +80,6 @@ def minimize(*args, **kwargs):
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,43 +246,16 @@ def _loss_and_gradient(params: np.ndarray, ansatz: RyCnotAnsatz, loss_grad):
     return loss, _backward_sweep(ansatz, params, psi, g[None])[0]
 
 
-@dataclass(frozen=True)
-class LoaderTarget:
-    """Discretized standard normal on the cell midpoints x_i of [-w, w].
-
-    The cells every register of ``market_model.lattice`` holds; masses
-    g(x_i) * dx are not renormalized, so the excluded tail mass alpha
-    stays excluded.  Both arrays are built once per target and are
-    read-only.
-    """
-
-    n: int
-    w: float = 5.0
-
-    def __post_init__(self):
-        _check_integer("n", self.n)
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"n must be in [1, {MAX_QUBITS}]")
-        if not math.isfinite(self.w):
-            raise ValueError(f"w must be finite, got {self.w!r}")
-        if self.w <= 0:
-            raise ValueError("w must be positive")
-
-    @functools.cached_property
-    def mesh(self) -> np.ndarray:
-        return _read_only(standard_normal_cells(self.w, self.n)[0])
-
-    @functools.cached_property
-    def masses(self) -> np.ndarray:
-        return _read_only(standard_normal_cells(self.w, self.n)[1])
+# The name the benchmark's loader workload builds its target grid by.
+LoaderTarget = GridSpec
 
 
 def _linf(state: np.ndarray, masses: np.ndarray) -> float:
     return float(np.max(np.abs(masses - state**2)))
 
 
-def linf_loss(state: np.ndarray, target: LoaderTarget) -> float:
-    """Worst-cell deviation max_i |g(x_i) dx - amplitude_i^2|."""
+def linf_loss(state: np.ndarray, target: GridSpec) -> float:
+    """Worst-cell deviation max_i |g(x_i) dx - amplitude_i^2| on ``target``'s cells."""
     state = np.asarray(state, dtype=float)
     masses = target.masses
     if state.shape != masses.shape:
@@ -367,7 +331,7 @@ class TrainResult:
 
 
 def _refine_linf(
-    ansatz: RyCnotAnsatz, params: np.ndarray, target: LoaderTarget
+    ansatz: RyCnotAnsatz, params: np.ndarray, target: GridSpec
 ) -> np.ndarray:
     """Infinity-norm refinement: L2 descent, then the exact minimax problem.
 
@@ -444,8 +408,10 @@ def train(
     exact minimax solve, both on adjoint derivatives.  Each restart's
     refined state is simulated once for its infinity norm (and, for a new
     best, its energy).  The best restart by final infinity-norm wins.  A
-    ``warm_start`` parameter vector (padded with zero-angle layers if
-    shorter) joins the restart pool.
+    ``warm_start`` parameter vector of whole n-angle layers (padded with
+    zero-angle layers if shorter) joins the restart pool.  The target is
+    the cells of ``GridSpec(n, w)``, the grid every register of the step
+    law holds.
 
     Deterministic for fixed (n, L, restarts, seed, warm_start).
 
@@ -453,15 +419,17 @@ def train(
     ------
     ValueError
         If ``restarts`` is negative, or zero with no ``warm_start``: the
-        pool would have nothing to train.
+        pool would have nothing to train.  If ``warm_start`` is not 1-D,
+        is longer than n(L+1) angles, or is not a whole number of n-angle
+        layers: its angles would land on the wrong qubits.
     """
     if restarts < 0 or (restarts == 0 and warm_start is None):
         raise ValueError(
             f"restarts must be at least 1, or 0 with a warm_start; got {restarts!r}"
         )
     ansatz = RyCnotAnsatz(n=n, L=L)
-    target = LoaderTarget(n=n, w=w)
-    mesh = target.mesh
+    target = GridSpec(n=n, w=w)
+    mesh = target.coords
     m = 0.5  # 1 / (2 sigma^2) with sigma = 1
 
     def energy(psi):
@@ -471,9 +439,13 @@ def train(
     rng = np.random.default_rng(seed)
     inits = [rng.uniform(-math.pi, math.pi, ansatz.n_params) for _ in range(restarts)]
     if warm_start is not None:
-        padded = np.zeros(ansatz.n_params)
-        padded[: len(warm_start)] = warm_start
-        inits.insert(0, padded)
+        warm = np.asarray(warm_start, dtype=float)
+        if warm.ndim != 1 or warm.size > ansatz.n_params or warm.size % n:
+            raise ValueError(
+                f"warm_start must be a 1-D vector of whole {n}-angle layers, at "
+                f"most {ansatz.n_params} angles; got shape {warm.shape}"
+            )
+        inits.insert(0, np.concatenate([warm, np.zeros(ansatz.n_params - warm.size)]))
 
     best_params = None
     best_linf = math.inf
@@ -523,7 +495,7 @@ def train_sweep(
 
 
 def digitize(
-    params: np.ndarray, M_digit: int, ansatz: RyCnotAnsatz, target: LoaderTarget
+    params: np.ndarray, M_digit: int, ansatz: RyCnotAnsatz, target: GridSpec
 ) -> dict:
     """Snap angles to the grid 2 pi i / M_digit, then local-search on the grid.
 

@@ -5,7 +5,10 @@ Holds the market-model parameters shared by every pricer and resource
 estimator: per-asset volatilities, a correlation matrix, a uniform time
 grid, and the step law on which the exact pricer operates: d truncated,
 discretized standard-normal registers per step under the affine map
-mu + L z, as the re-parameterization circuit loads them.
+mu + L z, as the re-parameterization circuit loads them.  The register
+grid (``GridSpec``, which the loader also trains on) and the affine map
+(``step_map``, which Monte Carlo also samples through) are each defined
+here once.
 
 Log-returns over one step are jointly normal with per-asset mean
 mu_j = (r - sigma_j^2 / 2) * dt and covariance
@@ -15,11 +18,21 @@ path densities factorize across time.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int if it is an integer other than a bool; any other
+    value (a float such as 4.0 included) raises a ValueError that names
+    ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def config_int(value, key: str) -> int:
@@ -122,11 +135,7 @@ class GBMParams:
             raise ValueError("s0 length must match sigmas length")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if isinstance(self.n_steps, bool) or not isinstance(
-            self.n_steps, numbers.Integral
-        ):
-            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
-        if self.n_steps < 1:
+        if check_integer("n_steps", self.n_steps) < 1:
             raise ValueError("n_steps must be a positive integer")
 
     @property
@@ -204,13 +213,17 @@ def sigma_max(cov: np.ndarray) -> float:
     return float(np.sqrt(lam))
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def standard_normal_cells(
     w: float, n: int, cells: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints x_i of the 2^n equal cells on [-w, w] and their masses g(x_i) * dx.
 
-    The one grid and the one standard-register mass formula: the loader
-    target and every register of the step law (``lattice``) load it.
+    The one standard-register mass formula, which ``GridSpec`` holds.
     Tails are dropped, not renormalized.  ``cells``, an integer array of
     cell indices, picks those cells only, bit for bit as in the full grid;
     the default is all 2^n in order.
@@ -222,7 +235,12 @@ def standard_normal_cells(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform truncated grid for the standard-normal step registers.
+    """Uniform truncated grid of one standard-normal register.
+
+    The one grid: the loader is trained on its cells and every register
+    of the step law (``lattice``) holds them.  ``coords`` (the midpoints
+    x_i) and ``masses`` (g(x_i) * dx) are ``standard_normal_cells(w, n)``,
+    each built once per grid on first read and read-only.
 
     Parameters
     ----------
@@ -233,17 +251,39 @@ class GridSpec:
     """
 
     n: int
-    w: float
+    w: float = 5.0
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
+        if check_integer("n", self.n) < 1:
             raise ValueError("n must be >= 1")
         if not math.isfinite(self.w):
             raise ValueError(f"w must be finite, got {self.w!r}")
         if self.w <= 0:
             raise ValueError("w must be positive")
+
+    @functools.cached_property
+    def coords(self) -> np.ndarray:
+        return _read_only(standard_normal_cells(self.w, self.n)[0])
+
+    @functools.cached_property
+    def masses(self) -> np.ndarray:
+        return _read_only(standard_normal_cells(self.w, self.n)[1])
+
+
+def step_map(z: np.ndarray, mu: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Log-returns mu + L z of standard-normal draws ``z`` of shape (..., d).
+
+    A diagonal L works in place, ``z *= diag(L); z += mu``: the bits of
+    mu + z @ L.T without the stacked matmul, which does not run in
+    parallel across threads.  Any other L returns a new array.
+    """
+    scale = np.diag(chol)
+    if np.array_equal(chol, np.diag(scale)):
+        z *= scale
+    else:
+        z = z @ chol.T
+    z += mu
+    return z
 
 
 @dataclass(frozen=True)
@@ -252,7 +292,7 @@ class StepLaw:
 
     This is the law the ``reparam`` circuit loads: each of the d
     registers holds an independent cell index i_j on ``coords``, and the
-    step's log-returns are mu + L @ z for z_j = coords[i_j].
+    step's log-returns are ``step_map(z, mu, chol)`` for z_j = coords[i_j].
 
     Attributes
     ----------
@@ -277,18 +317,18 @@ class StepLaw:
         gen = np.random.Generator(np.random.Philox(key=int(seed)))
         pmf = self.masses / self.masses.sum()
         idx = gen.choice(len(self.coords), size=(n_samples, len(self.mu)), p=pmf)
-        z = self.coords[idx]
-        return self.mu + z @ self.chol.T
+        return step_map(self.coords[idx], self.mu, self.chol)
 
 
 def lattice(grid: GridSpec, params: GBMParams) -> StepLaw:
-    """The step law on ``grid``: ``standard_normal_cells(grid.w, grid.n)``
-    on every register, mapped through the drift and the Cholesky factor
-    that Monte Carlo correlates with.
+    """The step law on ``grid``: its cells on every register, mapped
+    through the drift and the Cholesky factor that Monte Carlo correlates
+    with.
 
     Mass outside [-w, w] is dropped, not renormalized, so one step keeps
     ``masses.sum() ** d``.
     """
-    coords, masses = standard_normal_cells(grid.w, grid.n)
     chol = cholesky_factor(build_covariance(params))
-    return StepLaw(coords=coords, masses=masses, mu=params.step_means(), chol=chol)
+    return StepLaw(
+        coords=grid.coords, masses=grid.masses, mu=params.step_means(), chol=chol
+    )

@@ -2,23 +2,26 @@
 Classical pricing oracles: Monte Carlo and exact lattice summation.
 
 The Monte Carlo engine is the classical baseline: sample d*T i.i.d.
-standard normals per path, correlate them through the Cholesky factor,
-add the drift, and average discounted payoffs.  Paths are generated in
+standard normals per path, map them to log-returns by the step map
+mu + L z, and average discounted payoffs.  Paths are generated in
 fixed-size chunks from a counter-based RNG keyed by (seed, chunk index).
 The chunks run on the calling thread plus one helper thread per further
 CPU the process may use, and each chunk's sums are added in chunk order
 afterwards, so a (seed, n_paths) pair gives the same bit-identical
 estimate at any CPU count.
 
-Both path engines, Monte Carlo and the lattice enumerator, fold one
-per-contract payoff, ``contracts._payoff_fold``: a step per date over
-growth factors S_t / S_0, with the contract's dates resolved to step
-columns once per call.  This module keeps the model side: Monte Carlo
-sums each chunk's log-returns along the path and exponentiates the
+This module keeps only the engines.  It reads the model from
+``market_model``: the register grid (``GridSpec``), the step law
+(``lattice``) and the one step map mu + L z (``step_map``), which Monte
+Carlo chunks and the enumerator's register states both go through.  It
+reads a contract only through its payoff fold, ``contracts._payoff_fold``:
+a step per date over growth factors S_t / S_0, given asset-major, with
+the contract's dates resolved to step columns once per call.  Monte
+Carlo sums each chunk's log-returns along the path and exponentiates the
 chunk once, in place; the enumerator exponentiates each block of
-cumulative log-returns once.  So the sampled paths and the lattice pay
-by the same function, and forward induction evaluates each autocallable
-date by the same ``contracts._autocall_date``, on its mass grid.
+cumulative log-returns once; forward induction steps the fold on each
+asset's growth over its mass grid.  So sampled paths, lattice paths and
+the induction grid all pay by the same function.
 
 The exact lattice pricer sums mass * discounted payoff over every path
 of the step law that the re-parameterization circuit loads
@@ -45,9 +48,7 @@ t carries m^(T - t).
 
 from __future__ import annotations
 
-import functools
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -61,9 +62,11 @@ from .market_model import (
     GBMParams,
     GridSpec,
     build_covariance,
+    check_integer,
     cholesky_factor,
     lattice,
     standard_normal_cells,
+    step_map,
 )
 
 _CHUNK_PATHS = 4096
@@ -195,10 +198,7 @@ def mc_price(
         If ``n_paths`` or ``seed`` is not an integer (a float such as
         5000.0 or a bool included), or ``n_paths`` is below 2.
     """
-    for name, x in (("n_paths", n_paths), ("seed", seed)):
-        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {x!r}")
-    n_paths, seed = int(n_paths), int(seed)
+    n_paths, seed = check_integer("n_paths", n_paths), check_integer("seed", seed)
     if n_paths < 2:
         raise ValueError(f"need at least 2 paths, got n_paths={n_paths}")
     d, T = params.d, params.n_steps
@@ -206,19 +206,9 @@ def mc_price(
     mu = params.step_means()
     L = cholesky_factor(build_covariance(params))
 
-    # Independent assets: scaling each column gives the bits of z @ L.T,
-    # whose stacked matmul does not run in parallel across threads.
-    scale = np.diag(L)
-    independent = np.array_equal(L, np.diag(scale))
-
     def chunk_sums(c: int) -> tuple[float, float]:
         m = min(_CHUNK_PATHS, n_paths - c * _CHUNK_PATHS)
-        z = _chunk_normals(seed, c, (m, T, d))
-        if independent:
-            z *= scale
-        else:
-            z = z @ L.T
-        z += mu
+        z = step_map(_chunk_normals(seed, c, (m, T, d)), mu, L)
         growth = np.exp(np.cumsum(z, axis=1, out=z), out=z)
         payoffs = contracts._fold_paths(fold, growth)
         return float(np.sum(payoffs)), float(np.sum(payoffs * payoffs))
@@ -321,11 +311,11 @@ def _enumerate_lattice(
     """(price, total mass) summed over every lattice path.
 
     A step is one register tuple z, the first asset most significant, with
-    mass the product of its registers' masses and returns mu + L @ z.  The
-    lattice is walked depth first: each prefix carries its mass (the plain
-    product of its step masses), its per-asset cumulative log-return and
-    its payoff state, so a date's payoff step runs once per prefix, on the
-    block's growth factors, exponentiated once per block.
+    mass the product of its registers' masses and returns ``step_map`` of
+    z.  The lattice is walked depth first: each prefix carries its mass
+    (the plain product of its step masses), its per-asset cumulative
+    log-return and its payoff state, so a date's payoff step runs once per
+    prefix, on the block's growth factors, exponentiated once per block.
 
     A prefix whose payoff is final (``done`` of the payoff fold) after
     step t is retired there: its mass p adds p * m^(T-1-t) to the total
@@ -334,9 +324,11 @@ def _enumerate_lattice(
     one block of ``chunk_size`` children: a step's states are taken in
     slices of at most ``chunk_size``, generated lazily when one step has
     more states than that, and each slice extends ``chunk_size // slice``
-    prefixes at a time.  The walk so holds at most one block per level,
-    T blocks in all, whatever n and d are; only the per-block sums, which
-    ``math.fsum`` adds at the end, grow with the number of blocks.
+    prefixes at a time.  Returns and growth are held asset-major, (d,
+    prefixes), as the fold reads them.  The walk so holds at most one
+    block per level, T blocks in all, whatever n and d are; only the
+    per-block sums, which ``math.fsum`` adds at the end, grow with the
+    number of blocks.
     """
     d, T = params.d, params.n_steps
     n_paths = 2 ** (grid.n * d * T)
@@ -356,14 +348,14 @@ def _enumerate_lattice(
     # The one-step mass, summed as ``_induct_lattice`` sums it.  Only steps
     # before the last retire prefixes, and at T >= 2 the path cap keeps the
     # register grid small.
-    m = float(np.sum(standard_normal_cells(grid.w, grid.n)[1])) ** d if T > 1 else 1.0
+    m = float(np.sum(grid.masses)) ** d if T > 1 else 1.0
 
     def state_slice(first: int):
-        """Masses and returns of the step's states first, ..., first + width - 1."""
+        """Masses and (d, width) returns of the states first, ..., first + width - 1."""
         index = np.arange(first, min(first + width, n_states))
         registers = np.array(np.unravel_index(index, (2**grid.n,) * d))
         coords, masses = standard_normal_cells(grid.w, grid.n, registers)
-        return np.prod(masses, axis=0), mu + coords.T @ chol.T
+        return np.prod(masses, axis=0), step_map(coords.T, mu, chol).T
 
     # A step that fits in one block is built once; a wider one is rebuilt
     # slice by slice wherever it is walked, so it never exists whole.
@@ -383,7 +375,7 @@ def _enumerate_lattice(
             for first in range(0, len(prob), block):
                 last = first + block
                 child_prob = (prob[first:last, None] * pmf).reshape(-1)
-                child_cum = (cum[first:last, None, :] + returns).reshape(-1, d)
+                child_cum = (cum[:, first:last, None] + returns[:, None]).reshape(d, -1)
                 growth = np.exp(child_cum)
                 child_state = step(
                     tuple(np.repeat(a[first:last], len(pmf)) for a in state),
@@ -398,18 +390,18 @@ def _enumerate_lattice(
                     out = np.flatnonzero(finished)
                     retire(
                         child_prob[out],
-                        growth[out],
+                        growth[:, out],
                         tuple(a[out] for a in child_state),
                         later,
                     )
                     live = np.flatnonzero(~finished)
                     if not len(live):
                         continue
-                    child_prob, child_cum = child_prob[live], child_cum[live]
+                    child_prob, child_cum = child_prob[live], child_cum[:, live]
                     child_state = tuple(a[live] for a in child_state)
                 walk(child_prob, child_cum, child_state, t + 1)
 
-    walk(np.ones(1), np.zeros((1, d)), start, 0)
+    walk(np.ones(1), np.zeros((d, 1)), start, 0)
     return math.fsum(price_parts), math.fsum(mass_parts)
 
 
@@ -422,10 +414,11 @@ def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float,
     are t * mu + L @ Z_t.  The alive mass on that grid is convolved with
     the step law once per step.  An autocallable's mass has two rows, the
     fold's two live states: nothing paid and not knocked in, nothing paid
-    and knocked in.  Each date is evaluated by ``contracts._autocall_date``
-    on the basket value of the grid, from one state per row: the mass it
-    pays (a coupon, or at the horizon the settled put) adds to the price
-    and leaves, and the row-0 mass it knocks in moves to row 1.
+    and knocked in.  Each date is the fold's step on the per-asset growth
+    of the grid, from one state per row: the mass it pays (a coupon, or at
+    the horizon the settled put) adds to the price and leaves, and the
+    row-0 mass it knocks in moves to row 1.  A call is the fold's value on
+    the growth at T.
     """
     d, T = params.d, params.n_steps
     columns = contracts._resolve_dates(_step_times(params), contract, d)
@@ -469,16 +462,15 @@ def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float,
             for j in range(d)
         ]
 
+    _, step, value, _ = contracts._payoff_fold(
+        _step_times(params), contract, params.r, params.s0
+    )
     if call:
         mass = np.ones((1, 1))
         for _ in range(T):
             mass = _convolve_step(mass, law.masses)
-        payoff = contracts._call_payoff(
-            params.s0[0] * cumulative_returns(T)[0], contract, params.r
-        )
-        return float(np.sum(mass[0] * payoff)), m**T
+        return float(np.sum(mass[0] * value((), cumulative_returns(T)))), m**T
 
-    basket_op = contracts._BASKET_OPS[contract.basket]
     mass = np.zeros((2,) + (1,) * d)
     mass[(0,) * (d + 1)] = 1.0
     # One payoff state per mass row: nothing paid, not knocked in or knocked in.
@@ -488,10 +480,7 @@ def _induct_lattice(params: GBMParams, contract, grid: GridSpec) -> tuple[float,
     parts: list[float] = []
     for t in range(1, steps + 1):
         mass = _convolve_step(mass, law.masses)
-        value = functools.reduce(basket_op, cumulative_returns(t))
-        payoff, paid, knocked = contracts._autocall_date(
-            row_state, value, t - 1, columns, contract, params.r
-        )
+        payoff, paid, knocked = step(row_state, cumulative_returns(t), t - 1)
         parts.append(float(np.sum(mass * payoff)) * m ** (T - t))
         mass *= ~paid
         # Adds exact zeros outside the newly knocked-in cells.

@@ -41,7 +41,7 @@ from qdp.error_budget import (
     truncation_error,
 )
 import qdp.error_budget as eb
-from qdp.gaussian_loader import LoaderTarget, RyCnotAnsatz, digitize, train, train_sweep
+from qdp.gaussian_loader import RyCnotAnsatz, digitize, train, train_sweep
 from qdp.market_model import GBMParams, GridSpec, build_covariance, lattice
 from qdp.pricing_engines import black_scholes_call, exact_lattice_price, mc_price
 from qdp.qarith_resources import FixedPointFormat
@@ -303,7 +303,7 @@ def test_criterion_8_gaussian_loader():
 
     base = train(4, 6, restarts=4, seed=0)
     ansatz = RyCnotAnsatz(n=4, L=6)
-    target = LoaderTarget(n=4)
+    target = GridSpec(n=4)
     grids = (100, 1_000, 10_000, 100_000)
     diffs = []
     for m_digit in grids:

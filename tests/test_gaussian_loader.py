@@ -8,7 +8,6 @@ from scipy.optimize import minimize
 
 from qdp import gaussian_loader as gl
 from qdp.gaussian_loader import (
-    LoaderTarget,
     RyCnotAnsatz,
     digitize,
     discretized_hamiltonian,
@@ -17,6 +16,7 @@ from qdp.gaussian_loader import (
     simulate_ansatz,
     train,
 )
+from qdp.market_model import GridSpec
 
 
 class TestAnsatz:
@@ -33,9 +33,9 @@ class TestAnsatz:
             (lambda: RyCnotAnsatz(n=4.5, L=2), "n must be an integer, got 4.5"),
             (lambda: RyCnotAnsatz(n=True, L=2), "n must be an integer, got True"),
             (lambda: RyCnotAnsatz(n=4, L=1.5), "L must be an integer, got 1.5"),
-            (lambda: LoaderTarget(n=4.0), "n must be an integer, got 4.0"),
-            (lambda: LoaderTarget(n=4, w=math.nan), "w must be finite, got nan"),
-            (lambda: LoaderTarget(n=4, w=math.inf), "w must be finite, got inf"),
+            (lambda: GridSpec(n=4.0), "n must be an integer, got 4.0"),
+            (lambda: GridSpec(n=4, w=math.nan), "w must be finite, got nan"),
+            (lambda: GridSpec(n=4, w=math.inf), "w must be finite, got inf"),
         ],
     )
     def test_invalid_inputs_name_the_field(self, make, field):
@@ -131,7 +131,7 @@ class TestAnsatz:
 
 def _energy_loss(target):
     def loss_grad(psi):
-        h_psi = gl._apply_hamiltonian(psi, 0.5, 0.0, target.mesh)
+        h_psi = gl._apply_hamiltonian(psi, 0.5, 0.0, target.coords)
         return float(psi @ h_psi), 2.0 * h_psi
 
     return loss_grad
@@ -154,7 +154,7 @@ class TestAdjointGradient:
     @pytest.mark.parametrize("make_loss", [_energy_loss, _l2_loss])
     def test_matches_central_differences(self, n, L, make_loss):
         ansatz = RyCnotAnsatz(n=n, L=L)
-        loss_grad = make_loss(LoaderTarget(n=n))
+        loss_grad = make_loss(GridSpec(n=n))
         theta = np.random.default_rng(n + L).uniform(-math.pi, math.pi, ansatz.n_params)
         loss, grad = gl._loss_and_gradient(theta, ansatz, loss_grad)
         assert loss == loss_grad(simulate_ansatz(ansatz, theta))[0]
@@ -193,7 +193,7 @@ class TestAdjointGradient:
     def test_gradient_is_adjoint_times_jacobian(self, n, L):
         # The gradient sweep is the one-row case of the Jacobian sweep.
         ansatz = RyCnotAnsatz(n=n, L=L)
-        loss_grad = _l2_loss(LoaderTarget(n=n))
+        loss_grad = _l2_loss(GridSpec(n=n))
         theta = np.random.default_rng(n + 2 * L).uniform(
             -math.pi, math.pi, ansatz.n_params
         )
@@ -263,21 +263,25 @@ class TestAdjointGradient:
 
 
 class TestLoaderTarget:
+    def test_loader_target_is_the_register_grid(self):
+        assert gl.LoaderTarget is GridSpec
+        assert GridSpec(n=4) == GridSpec(n=4, w=5.0)
+
     def test_mesh_convention(self):
-        target = LoaderTarget(n=2, w=4.0)
-        assert target.mesh == pytest.approx(np.array([-3.0, -1.0, 1.0, 3.0]))
+        target = GridSpec(n=2, w=4.0)
+        assert target.coords == pytest.approx(np.array([-3.0, -1.0, 1.0, 3.0]))
 
     def test_tail_mass_small_at_default_width(self):
-        target = LoaderTarget(n=5, w=5.0)
+        target = GridSpec(n=5, w=5.0)
         assert 0.0 < 1.0 - target.masses.sum() < 1e-5
 
     def test_linf_zero_at_target(self):
-        target = LoaderTarget(n=4)
+        target = GridSpec(n=4)
         state = np.sqrt(target.masses)
         assert linf_loss(state, target) == pytest.approx(0.0, abs=1e-15)
 
     def test_linf_of_ground_state(self):
-        target = LoaderTarget(n=3)
+        target = GridSpec(n=3)
         state = np.zeros(8)
         state[0] = 1.0
         expected = max(abs(target.masses[0] - 1.0), float(np.max(target.masses[1:])))
@@ -286,50 +290,50 @@ class TestLoaderTarget:
 
 class TestHarmonicEnergy:
     def test_gaussian_state_near_ground_energy(self):
-        target = LoaderTarget(n=7, w=6.0)
+        target = GridSpec(n=7, w=6.0)
         psi = np.sqrt(target.masses)
         psi /= np.linalg.norm(psi)
-        energy = harmonic_energy(psi, 0.5, 0.0, target.mesh)
+        energy = harmonic_energy(psi, 0.5, 0.0, target.coords)
         assert energy == pytest.approx(0.5, abs=1e-3)
 
     def test_variational_principle(self):
-        target = LoaderTarget(n=5, w=5.0)
-        H = discretized_hamiltonian(0.5, 0.0, target.mesh)
+        target = GridSpec(n=5, w=5.0)
+        H = discretized_hamiltonian(0.5, 0.0, target.coords)
         lam_min = float(np.linalg.eigvalsh(H)[0])
         rng = np.random.default_rng(0)
         for _ in range(20):
             psi = rng.normal(size=32)
             psi /= np.linalg.norm(psi)
-            assert harmonic_energy(psi, 0.5, 0.0, target.mesh) >= lam_min - 1e-10
+            assert harmonic_energy(psi, 0.5, 0.0, target.coords) >= lam_min - 1e-10
 
     def test_matrix_matches_quadratic_form(self):
-        target = LoaderTarget(n=4, w=5.0)
-        H = discretized_hamiltonian(0.5, 0.0, target.mesh)
+        target = GridSpec(n=4, w=5.0)
+        H = discretized_hamiltonian(0.5, 0.0, target.coords)
         rng = np.random.default_rng(1)
         for _ in range(5):
             psi = rng.normal(size=16)
             psi /= np.linalg.norm(psi)
             direct = float(np.real(psi @ H @ psi))
-            assert harmonic_energy(psi, 0.5, 0.0, target.mesh) == pytest.approx(direct)
+            assert harmonic_energy(psi, 0.5, 0.0, target.coords) == pytest.approx(direct)
 
     @pytest.mark.parametrize("n,x0", [(1, 0.0), (3, 0.0), (4, 0.7), (6, -1.5)])
     def test_hamiltonian_action_matches_matrix(self, n, x0):
-        target = LoaderTarget(n=n, w=5.0)
-        H = discretized_hamiltonian(0.5, x0, target.mesh)
+        target = GridSpec(n=n, w=5.0)
+        H = discretized_hamiltonian(0.5, x0, target.coords)
         psi = np.random.default_rng(n).normal(size=2**n)
         psi /= np.linalg.norm(psi)
-        h_psi = gl._apply_hamiltonian(psi, 0.5, x0, target.mesh)
+        h_psi = gl._apply_hamiltonian(psi, 0.5, x0, target.coords)
         assert h_psi == pytest.approx(H.real @ psi, rel=0, abs=1e-12)
         assert float(psi @ h_psi) == pytest.approx(
-            harmonic_energy(psi, 0.5, x0, target.mesh), rel=0, abs=1e-12
+            harmonic_energy(psi, 0.5, x0, target.coords), rel=0, abs=1e-12
         )
 
     def test_center_shift(self):
-        target = LoaderTarget(n=6, w=5.0)
+        target = GridSpec(n=6, w=5.0)
         psi = np.sqrt(target.masses)
         psi /= np.linalg.norm(psi)
-        centered = harmonic_energy(psi, 0.5, 0.0, target.mesh)
-        shifted = harmonic_energy(psi, 0.5, 2.0, target.mesh)
+        centered = harmonic_energy(psi, 0.5, 0.0, target.coords)
+        shifted = harmonic_energy(psi, 0.5, 2.0, target.coords)
         assert shifted > centered
 
 
@@ -358,7 +362,7 @@ class TestTraining:
 
         monkeypatch.setattr(gl, "minimize", spy)
         ansatz = RyCnotAnsatz(n=n, L=L)
-        target = LoaderTarget(n=n)
+        target = GridSpec(n=n)
         theta0 = np.random.default_rng(seed).uniform(-math.pi, math.pi, ansatz.n_params)
         refined = gl._refine_linf(ansatz, theta0, target)
         (start,) = starts
@@ -382,6 +386,22 @@ class TestTraining:
         warmed = train(2, 1, restarts=0, warm_start=base.best_params)
         assert warmed.l_inf <= base.l_inf * (1 + 1e-9)
 
+    @pytest.mark.parametrize(
+        "warm_start",
+        [np.zeros(9), np.zeros(4), np.zeros(7), np.zeros((2, 3))],
+        ids=["longer", "partial-layer", "partial-last-layer", "2-D"],
+    )
+    def test_malformed_warm_start_rejected(self, warm_start):
+        # n=3, L=1 has 6 angles: two layers of 3.
+        with pytest.raises(ValueError, match="warm_start"):
+            train(3, 1, restarts=0, warm_start=warm_start)
+
+    def test_shorter_warm_start_pads_whole_layers(self):
+        one_layer = train(3, 1, restarts=0, warm_start=np.full(3, 0.5))
+        padded = train(3, 1, restarts=0, warm_start=[0.5, 0.5, 0.5, 0.0, 0.0, 0.0])
+        assert one_layer.l_inf == padded.l_inf
+        assert np.array_equal(one_layer.best_params, padded.best_params)
+
     def test_warm_start_joins_pool(self):
         # Seed 1's own restart ends at 7.3e-3; warm-started from seed 0's
         # optimum at the same depth, the pool keeps that optimum's loss
@@ -395,14 +415,14 @@ class TestDigitize:
     def test_fine_grid_recovers_continuous(self):
         result = train(3, 2, restarts=1, seed=0)
         ansatz = RyCnotAnsatz(n=3, L=2)
-        target = LoaderTarget(n=3)
+        target = GridSpec(n=3)
         fine = digitize(result.best_params, 2**24, ansatz, target)
         assert fine["l_inf"] <= result.l_inf + 1e-6
 
     def test_coarse_grid_degrades(self):
         result = train(3, 2, restarts=1, seed=0)
         ansatz = RyCnotAnsatz(n=3, L=2)
-        target = LoaderTarget(n=3)
+        target = GridSpec(n=3)
         coarse = digitize(result.best_params, 16, ansatz, target)
         fine = digitize(result.best_params, 2**16, ansatz, target)
         assert coarse["l_inf"] >= fine["l_inf"]
@@ -410,7 +430,7 @@ class TestDigitize:
     def test_grid_membership(self):
         result = train(3, 2, restarts=1, seed=0)
         ansatz = RyCnotAnsatz(n=3, L=2)
-        target = LoaderTarget(n=3)
+        target = GridSpec(n=3)
         M = 256
         out = digitize(result.best_params, M, ansatz, target)
         steps = out["params"] / (2 * math.pi / M)
@@ -418,7 +438,7 @@ class TestDigitize:
 
     def test_m_digit_guard(self):
         with pytest.raises(ValueError):
-            digitize(np.zeros(6), 2, RyCnotAnsatz(n=3, L=1), LoaderTarget(n=3))
+            digitize(np.zeros(6), 2, RyCnotAnsatz(n=3, L=1), GridSpec(n=3))
 
     @pytest.mark.parametrize("n,L,seed", [(3, 2, 0), (4, 6, 1)])
     @pytest.mark.parametrize("M", [16, 1_000, 100_000])
@@ -449,7 +469,7 @@ class TestDigitize:
             return theta, current
 
         ansatz = RyCnotAnsatz(n=n, L=L)
-        target = LoaderTarget(n=n)
+        target = GridSpec(n=n)
         if batch_floats is not None:
             # Three trials per batch, so a pass spans several batches.
             width = (L + 1) * n * 2 ** (n + 1)

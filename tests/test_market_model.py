@@ -13,10 +13,12 @@ from qdp.market_model import (
     GBMParams,
     GridSpec,
     build_covariance,
+    check_integer,
     cholesky_factor,
     lattice,
     sigma_max,
     standard_normal_cells,
+    step_map,
 )
 
 
@@ -306,6 +308,104 @@ class TestScipyReference:
         picked_coords, picked_masses = standard_normal_cells(w, n, cells)
         assert np.array_equal(picked_coords, coords[cells])
         assert np.array_equal(picked_masses, masses[cells])
+
+
+class TestGridCells:
+    @pytest.mark.parametrize("n, w", [(1, 5.0), (4, 3.0), (7, 5.0)])
+    def test_cells_are_the_standard_normal_cells(self, n, w):
+        grid = GridSpec(n=n, w=w)
+        coords, masses = standard_normal_cells(w, n)
+        assert np.array_equal(grid.coords, coords)
+        assert np.array_equal(grid.masses, masses)
+
+    def test_cells_built_once_and_read_only(self):
+        grid = GridSpec(n=3)
+        assert grid.w == 5.0
+        assert grid.coords is grid.coords and grid.masses is grid.masses
+        for cells in (grid.coords, grid.masses):
+            with pytest.raises(ValueError, match="read-only"):
+                cells[0] = 0.0
+
+    def test_law_reads_the_grid_cells(self):
+        grid = GridSpec(n=4)
+        law = lattice(grid, make_params())
+        assert law.coords is grid.coords and law.masses is grid.masses
+
+
+class TestCheckInteger:
+    @pytest.mark.parametrize("value", [3, np.int64(3)])
+    def test_integers_pass_as_int(self, value):
+        assert check_integer("k", value) == 3
+        assert type(check_integer("k", value)) is int
+
+    @pytest.mark.parametrize("value", [3.0, 2.5, True, "3", None])
+    def test_others_name_the_field(self, value):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {value!r}$"):
+            check_integer("k", value)
+
+
+def diagonal_factor(d: int) -> np.ndarray:
+    return np.diag([0.3, 0.7, 1.9][:d])
+
+
+def correlated_factor() -> np.ndarray:
+    cov = build_covariance(
+        make_params(
+            sigmas=(0.1, 0.25, 0.4),
+            rho=((1.0, 0.3, -0.2), (0.3, 1.0, 0.5), (-0.2, 0.5, 1.0)),
+            dt=0.05,
+        )
+    )
+    return cholesky_factor(cov)
+
+
+class TestStepMap:
+    """``step_map`` is the one mu + L z: bit for bit the matmul it replaces."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_diagonal_factor_matches_matmul_in_place(self, d):
+        rng = np.random.default_rng(d)
+        mu = rng.normal(size=d)
+        L = diagonal_factor(d)
+        z = rng.normal(size=(64, 5, d))
+        expected = mu + z @ L.T
+        out = step_map(z, mu, L)
+        assert out is z
+        assert np.array_equal(out, expected)
+
+    def test_correlated_factor_is_the_matmul(self):
+        rng = np.random.default_rng(7)
+        mu = rng.normal(size=3)
+        L = correlated_factor()
+        z = rng.normal(size=(64, 5, 3))
+        before = z.copy()
+        out = step_map(z, mu, L)
+        assert np.array_equal(out, mu + z @ L.T)
+        assert np.array_equal(z, before)
+
+    def test_transposed_view(self):
+        # The enumerator maps register slices held asset-major, (d, width).
+        rng = np.random.default_rng(3)
+        mu, L = rng.normal(size=3), correlated_factor()
+        coords = rng.normal(size=(3, 40))
+        assert np.array_equal(step_map(coords.T, mu, L), mu + coords.T @ L.T)
+
+    @pytest.mark.parametrize(
+        "sigmas, rho",
+        [
+            ((0.2,), ((1.0,),)),
+            ((0.2, 0.3), ((1.0, 0.0), (0.0, 1.0))),
+            ((0.2, 0.3), ((1.0, 0.6), (0.6, 1.0))),
+        ],
+    )
+    def test_sample_returns_keep_their_bits(self, sigmas, rho):
+        # The formula sample_returns used before the step map was shared.
+        law = lattice(GridSpec(n=4), make_params(r=0.03, sigmas=sigmas, rho=rho, dt=0.25))
+        gen = np.random.Generator(np.random.Philox(key=11))
+        pmf = law.masses / law.masses.sum()
+        idx = gen.choice(len(law.coords), size=(300, len(sigmas)), p=pmf)
+        expected = law.mu + law.coords[idx] @ law.chol.T
+        assert np.array_equal(law.sample_returns(300, seed=11), expected)
 
 
 class TestLattice:

@@ -32,7 +32,6 @@ from qdp.contracts import (
     tarf_payoff,
     tarf_payoff_batch,
 )
-from qdp.gaussian_loader import LoaderTarget
 from qdp.market_model import (
     GBMParams,
     GridSpec,
@@ -910,10 +909,10 @@ class TestStepLaw:
     def test_loader_masses_are_the_law_masses(self, n, w):
         # The loader is trained on the cells every register of the law loads.
         params = small_params(sigma=0.4, dt=0.25)
-        loader = LoaderTarget(n, w)
+        loader = GridSpec(n, w)
         law = lattice(GridSpec(n, w), params)
         assert np.array_equal(loader.masses, law.masses)
-        assert np.array_equal(loader.mesh, law.coords)
+        assert np.array_equal(loader.coords, law.coords)
 
     def test_independent_joint_is_outer_product(self):
         # Independent registers: T induction steps on a d=2 grid carry the
