@@ -13,8 +13,10 @@ estimation totals:
 - Payoff circuits: comparator/logic trees plus arithmetic that rotates
   the normalized payoff into the estimation ancilla.
 
-Every estimate keeps an itemized breakdown whose recomposition is the
-reported total, so any modeling gap is auditable item by item.  Totals
+Every stage model returns an itemized breakdown, and the reported total
+is its recomposition, so any modeling gap is auditable item by item.  Each
+item is a ``ResourceCount``, whose T-count is derived from its Toffolis
+and rotation T gates.  Totals
 for a full estimation run are 2 * oracle_depth * N_oracle: each Grover
 iterate applies the state preparation twice (once forward, once
 inverted), and the reflections in between are Clifford-dominated and
@@ -31,7 +33,6 @@ from .amplitude_estimation import oracle_call_bound
 from .contracts import AutocallableSpec, TARFSpec, payoff_bounds
 from .market_model import GBMParams, build_covariance, sigma_max
 from .qarith_resources import (
-    T_PER_TOFFOLI,
     FixedPointFormat,
     ResourceCount,
     add_resources,
@@ -62,7 +63,7 @@ class EstimateBreakdown:
     def total(self) -> ResourceCount:
         return ResourceCount(
             toffoli_count=sum(rc.toffoli_count for _, rc in self.items),
-            t_count=sum(rc.t_count for _, rc in self.items),
+            rotation_t_count=sum(rc.rotation_t_count for _, rc in self.items),
             t_depth=sum(rc.t_depth for _, rc in self.items),
             logical_qubits=sum(rc.logical_qubits for _, rc in self.items),
         )
@@ -85,21 +86,6 @@ class EstimateBreakdown:
         ]
 
 
-def _item(
-    name: str,
-    depth: int,
-    qubits: int,
-    toffoli: int = 0,
-    rotation_t: int = 0,
-) -> tuple[str, ResourceCount]:
-    return name, ResourceCount(
-        toffoli_count=toffoli,
-        t_count=T_PER_TOFFOLI * toffoli + rotation_t,
-        t_depth=depth,
-        logical_qubits=qubits,
-    )
-
-
 def riemann_loading_resources(
     fmt: FixedPointFormat,
     d: int,
@@ -108,7 +94,7 @@ def riemann_loading_resources(
     k: int = 3,
     M: int = 32,
     z: int | None = None,
-) -> tuple[ResourceCount, EstimateBreakdown]:
+) -> EstimateBreakdown:
     """Cost of loading the path distribution by Riemann summation.
 
     For each of the T steps the circuit centers the d return registers,
@@ -117,8 +103,6 @@ def riemann_loading_resources(
     root, and rotates the result into an ancilla; cumulative sums and
     price exponentials make the payoff inputs available.  Work across
     assets and steps runs in parallel; multiplications split z ways.
-
-    Returns the total and the per-stage breakdown.
     """
     n = fmt.n
     if z is None:
@@ -128,74 +112,62 @@ def riemann_loading_resources(
     mul = mul_resources(fmt, z)
     expo = exp_resources(fmt, k, M, z)
     arc = arcsin_sqrt_resources(fmt, k, M, z)
+    density_rot = controlled_rotation_depth(fmt, epsilon)
 
     # Depth multiplier for cross terms: C(d,2) products share d/2 parallel
     # multiplier lanes (each asset register feeds one product at a time).
     cross_rounds = math.ceil(2 * pairs / d) if d > 1 else 0
 
     items = [
-        _item(
-            "center returns (subtract drift)",
-            add.t_depth,
-            T * d * n,
-            toffoli=add.toffoli_count * T * d,
-        ),
-        _item(
-            "squared returns",
-            mul.t_depth,
-            T * d * n,
-            toffoli=mul.toffoli_count * T * d,
-        ),
-        _item(
-            "correlation cross terms",
-            mul.t_depth * cross_rounds,
-            T * pairs * n,
-            toffoli=mul.toffoli_count * T * pairs,
-        ),
-        _item(
-            "sum quadratic form",
-            add.t_depth * max(math.ceil(math.log2(d + pairs)), 1),
-            0,
-            toffoli=add.toffoli_count * T * (d + pairs - 1),
-        ),
-        _item(
-            "exponential of quadratic form",
-            expo.t_depth,
-            piecewise_poly_qubits(n, k, M),
-            toffoli=expo.toffoli_count * T,
-        ),
-        _item(
-            "arcsine of square-root density",
-            arc.t_depth,
-            arc.logical_qubits,
-            toffoli=arc.toffoli_count * T,
-        ),
-        _item(
-            "density rotation into ancilla",
-            controlled_rotation_depth(fmt, epsilon),
-            n + 1,
-            rotation_t=controlled_rotation_depth(fmt, epsilon),
-        ),
-        _item(
-            "cumulative return sums",
-            add.t_depth * (T - 1),
-            (T - 1) * d * n,
-            toffoli=add.toffoli_count * (T - 1) * d,
-        ),
-        _item(
-            "prices from cumulative returns",
-            expo.t_depth,
-            piecewise_poly_qubits(n, k, M) * d * T,
-            toffoli=expo.toffoli_count * d * T,
-        ),
-        _item(
-            "adder workspace",
-            0,
-            T * d * n + (z - 1) * T * d,
-        ),
+        ("center returns (subtract drift)", ResourceCount(
+            toffoli_count=add.toffoli_count * T * d,
+            t_depth=add.t_depth,
+            logical_qubits=T * d * n,
+        )),
+        ("squared returns", ResourceCount(
+            toffoli_count=mul.toffoli_count * T * d,
+            t_depth=mul.t_depth,
+            logical_qubits=T * d * n,
+        )),
+        ("correlation cross terms", ResourceCount(
+            toffoli_count=mul.toffoli_count * T * pairs,
+            t_depth=mul.t_depth * cross_rounds,
+            logical_qubits=T * pairs * n,
+        )),
+        ("sum quadratic form", ResourceCount(
+            toffoli_count=add.toffoli_count * T * (d + pairs - 1),
+            t_depth=add.t_depth * max(math.ceil(math.log2(d + pairs)), 1),
+        )),
+        ("exponential of quadratic form", ResourceCount(
+            toffoli_count=expo.toffoli_count * T,
+            t_depth=expo.t_depth,
+            logical_qubits=piecewise_poly_qubits(n, k, M),
+        )),
+        ("arcsine of square-root density", ResourceCount(
+            toffoli_count=arc.toffoli_count * T,
+            t_depth=arc.t_depth,
+            logical_qubits=arc.logical_qubits,
+        )),
+        ("density rotation into ancilla", ResourceCount(
+            rotation_t_count=density_rot,
+            t_depth=density_rot,
+            logical_qubits=n + 1,
+        )),
+        ("cumulative return sums", ResourceCount(
+            toffoli_count=add.toffoli_count * (T - 1) * d,
+            t_depth=add.t_depth * (T - 1),
+            logical_qubits=(T - 1) * d * n,
+        )),
+        ("prices from cumulative returns", ResourceCount(
+            toffoli_count=expo.toffoli_count * d * T,
+            t_depth=expo.t_depth,
+            logical_qubits=piecewise_poly_qubits(n, k, M) * d * T,
+        )),
+        ("adder workspace", ResourceCount(
+            logical_qubits=T * d * n + (z - 1) * T * d,
+        )),
     ]
-    breakdown = EstimateBreakdown(items=tuple(items))
-    return breakdown.total(), breakdown
+    return EstimateBreakdown(items=tuple(items))
 
 
 def reparam_width(fmt: FixedPointFormat, d: int, T: int) -> FixedPointFormat:
@@ -218,7 +190,7 @@ def loader_gate_resources(n: int, L: int, epsilon: float) -> ResourceCount:
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     layers = math.ceil(3 * n * math.log2(n / epsilon)) * (L + 1)
-    return ResourceCount(toffoli_count=0, t_count=layers, t_depth=layers, logical_qubits=n)
+    return ResourceCount(rotation_t_count=layers, t_depth=layers, logical_qubits=n)
 
 
 def reparam_loading_resources(
@@ -230,7 +202,7 @@ def reparam_loading_resources(
     k: int = 3,
     M: int = 32,
     z: int | None = None,
-) -> tuple[ResourceCount, EstimateBreakdown]:
+) -> EstimateBreakdown:
     """Cost of loading the path distribution by re-parameterization.
 
     dT standard Gaussian registers are prepared in parallel by the
@@ -248,41 +220,33 @@ def reparam_loading_resources(
 
     loader = loader_gate_resources(fmt.n, L, epsilon)
     items = [
-        _item(
-            "gaussian ansatz layers",
-            loader.t_depth,
-            loader.logical_qubits * d * T,
-            rotation_t=loader.t_count * d * T,
-        ),
-        _item(
-            "cumulative standard-normal sums",
-            add.t_depth * (T - 1),
+        ("gaussian ansatz layers", ResourceCount(
+            rotation_t_count=loader.rotation_t_count * d * T,
+            t_depth=loader.t_depth,
+            logical_qubits=loader.logical_qubits * d * T,
+        )),
+        ("cumulative standard-normal sums", ResourceCount(
+            toffoli_count=add.toffoli_count * (T - 1) * d,
+            t_depth=add.t_depth * (T - 1),
             # Each (step, asset) slot keeps a widened accumulator beside
             # its raw Gaussian register.
-            T * d * wide.n,
-            toffoli=add.toffoli_count * (T - 1) * d,
-        ),
-        _item(
-            "correlation multiplies",
-            mul.t_depth * d,
-            0,
-            toffoli=mul.toffoli_count * T * d * d,
-        ),
-        _item(
-            "drift addition",
-            add.t_depth,
-            0,
-            toffoli=add.toffoli_count * T * d,
-        ),
-        _item(
-            "prices from returns",
-            expo.t_depth,
-            piecewise_poly_qubits(wide.n, k, M) * d * T,
-            toffoli=expo.toffoli_count * d * T,
-        ),
+            logical_qubits=T * d * wide.n,
+        )),
+        ("correlation multiplies", ResourceCount(
+            toffoli_count=mul.toffoli_count * T * d * d,
+            t_depth=mul.t_depth * d,
+        )),
+        ("drift addition", ResourceCount(
+            toffoli_count=add.toffoli_count * T * d,
+            t_depth=add.t_depth,
+        )),
+        ("prices from returns", ResourceCount(
+            toffoli_count=expo.toffoli_count * d * T,
+            t_depth=expo.t_depth,
+            logical_qubits=piecewise_poly_qubits(wide.n, k, M) * d * T,
+        )),
     ]
-    breakdown = EstimateBreakdown(items=tuple(items))
-    return breakdown.total(), breakdown
+    return EstimateBreakdown(items=tuple(items))
 
 
 def autocall_payoff_resources(
@@ -293,7 +257,7 @@ def autocall_payoff_resources(
     M: int = 32,
     z: int | None = None,
     d: int = 1,
-) -> tuple[ResourceCount, EstimateBreakdown]:
+) -> EstimateBreakdown:
     """Cost of rotating the normalized autocallable payoff into an ancilla.
 
     Stages: all strike/barrier comparators in parallel (worst-of baskets
@@ -320,39 +284,33 @@ def autocall_payoff_resources(
     cascade = controlled_rotation_depth(fmt, eps_stage)
 
     items = [
-        _item(
-            "strike and barrier comparators",
-            comp_d * (1 + basket_rounds),
-            n_comparators * (n + 1),
-            toffoli=comp_d * (n_comparators + (d - 1) * n_barrier),
-        ),
-        _item(
-            "knock-out / knock-in logic",
-            max(math.ceil(math.log2(n_barrier)), 1) + 3,
-            m + n_barrier + 2,
-            toffoli=n_barrier + m + 3,
-        ),
-        _item(
-            "binary coupon rotations",
-            binary_rot.t_depth * m,
-            m,
-            rotation_t=binary_rot.t_count * m,
-        ),
-        _item(
-            "put payoff arithmetic and arcsine",
-            add.t_depth + mul.t_depth + arc.t_depth,
-            n + (z - 1) * n + arc.logical_qubits,
-            toffoli=add.toffoli_count + mul.toffoli_count + arc.toffoli_count,
-        ),
-        _item(
-            "payoff rotation cascade",
-            cascade,
-            n + 2,
-            rotation_t=cascade,
-        ),
+        ("strike and barrier comparators", ResourceCount(
+            toffoli_count=comp_d * (n_comparators + (d - 1) * n_barrier),
+            t_depth=comp_d * (1 + basket_rounds),
+            logical_qubits=n_comparators * (n + 1),
+        )),
+        ("knock-out / knock-in logic", ResourceCount(
+            toffoli_count=n_barrier + m + 3,
+            t_depth=max(math.ceil(math.log2(n_barrier)), 1) + 3,
+            logical_qubits=m + n_barrier + 2,
+        )),
+        ("binary coupon rotations", ResourceCount(
+            rotation_t_count=binary_rot.rotation_t_count * m,
+            t_depth=binary_rot.t_depth * m,
+            logical_qubits=m,
+        )),
+        ("put payoff arithmetic and arcsine", ResourceCount(
+            toffoli_count=add.toffoli_count + mul.toffoli_count + arc.toffoli_count,
+            t_depth=add.t_depth + mul.t_depth + arc.t_depth,
+            logical_qubits=n + (z - 1) * n + arc.logical_qubits,
+        )),
+        ("payoff rotation cascade", ResourceCount(
+            rotation_t_count=cascade,
+            t_depth=cascade,
+            logical_qubits=n + 2,
+        )),
     ]
-    breakdown = EstimateBreakdown(items=tuple(items))
-    return breakdown.total(), breakdown
+    return EstimateBreakdown(items=tuple(items))
 
 
 def tarf_payoff_resources(
@@ -362,7 +320,7 @@ def tarf_payoff_resources(
     k: int = 3,
     M: int = 32,
     z: int | None = None,
-) -> tuple[ResourceCount, EstimateBreakdown]:
+) -> EstimateBreakdown:
     """Cost of rotating the normalized TARF payoff into an ancilla.
 
     Stages: per-date band/barrier comparators in parallel, per-date
@@ -386,63 +344,53 @@ def tarf_payoff_resources(
     cascade = controlled_rotation_depth(fmt, eps_stage)
 
     items = [
-        _item(
-            "band and barrier comparators",
-            comp_d,
-            3 * T * (n + 1),
-            toffoli=comp_d * 3 * T,
-        ),
-        _item(
-            "knock-out propagation",
-            2 * T,
-            2 * T,
-            toffoli=2 * T,
-        ),
-        _item(
-            "per-date partial payoffs",
-            add.t_depth + mul.t_depth + 2,
-            2 * T * n,
-            toffoli=(add.toffoli_count + mul.toffoli_count + 2) * T,
-        ),
-        _item(
-            "running-total prefix sums",
-            add.t_depth * (T - 1),
-            T * n,
-            toffoli=add.toffoli_count * (T - 1),
-        ),
-        _item(
-            "cap comparators and clip",
-            comp_d + add_c.t_depth,
-            T * (n + 1) + n,
-            toffoli=(comp_d + add_c.toffoli_count) * T,
-        ),
-        _item(
-            "discount multiplications",
-            mul.t_depth,
-            T * n,
-            toffoli=mul.toffoli_count * T,
-        ),
-        _item(
-            "discounted payoff sum",
-            add.t_depth * max(math.ceil(math.log2(T)), 1) + mul.t_depth,
-            (z - 1) * n,
-            toffoli=add.toffoli_count * (T - 1) + mul.toffoli_count,
-        ),
-        _item(
-            "arcsine of square-root payoff",
-            arc.t_depth,
-            arc.logical_qubits,
-            toffoli=arc.toffoli_count,
-        ),
-        _item(
-            "payoff rotation cascade",
-            cascade,
-            n + 2,
-            rotation_t=cascade,
-        ),
+        ("band and barrier comparators", ResourceCount(
+            toffoli_count=comp_d * 3 * T,
+            t_depth=comp_d,
+            logical_qubits=3 * T * (n + 1),
+        )),
+        ("knock-out propagation", ResourceCount(
+            toffoli_count=2 * T,
+            t_depth=2 * T,
+            logical_qubits=2 * T,
+        )),
+        ("per-date partial payoffs", ResourceCount(
+            toffoli_count=(add.toffoli_count + mul.toffoli_count + 2) * T,
+            t_depth=add.t_depth + mul.t_depth + 2,
+            logical_qubits=2 * T * n,
+        )),
+        ("running-total prefix sums", ResourceCount(
+            toffoli_count=add.toffoli_count * (T - 1),
+            t_depth=add.t_depth * (T - 1),
+            logical_qubits=T * n,
+        )),
+        ("cap comparators and clip", ResourceCount(
+            toffoli_count=(comp_d + add_c.toffoli_count) * T,
+            t_depth=comp_d + add_c.t_depth,
+            logical_qubits=T * (n + 1) + n,
+        )),
+        ("discount multiplications", ResourceCount(
+            toffoli_count=mul.toffoli_count * T,
+            t_depth=mul.t_depth,
+            logical_qubits=T * n,
+        )),
+        ("discounted payoff sum", ResourceCount(
+            toffoli_count=add.toffoli_count * (T - 1) + mul.toffoli_count,
+            t_depth=add.t_depth * max(math.ceil(math.log2(T)), 1) + mul.t_depth,
+            logical_qubits=(z - 1) * n,
+        )),
+        ("arcsine of square-root payoff", ResourceCount(
+            toffoli_count=arc.toffoli_count,
+            t_depth=arc.t_depth,
+            logical_qubits=arc.logical_qubits,
+        )),
+        ("payoff rotation cascade", ResourceCount(
+            rotation_t_count=cascade,
+            t_depth=cascade,
+            logical_qubits=n + 2,
+        )),
     ]
-    breakdown = EstimateBreakdown(items=tuple(items))
-    return breakdown.total(), breakdown
+    return EstimateBreakdown(items=tuple(items))
 
 
 @dataclass(frozen=True)
@@ -585,12 +533,12 @@ def end_to_end(
     # where the normalization is applied.
     budget_scale = bounds.f_delta
     if method == "reparam":
-        loading, loading_bd = reparam_loading_resources(
+        loading_bd = reparam_loading_resources(
             gaussian_fmt, d, T, L, synthesis_epsilon, k, M, z
         )
         scale = 1.0
     else:
-        loading, loading_bd = riemann_loading_resources(
+        loading_bd = riemann_loading_resources(
             fmt, d, T, synthesis_epsilon, k, M, z
         )
         p_max = eb.riemann_pmax(d, w, cov if d > 1 else None)
@@ -605,7 +553,7 @@ def end_to_end(
 
     n_oracle = math.ceil(oracle_call_bound(eps_amp, 1.0 - confidence))
 
-    payoff, payoff_bd = _payoff_circuit(contract, fmt, eps_f, k, M, z, d)
+    payoff_bd = _payoff_circuit(contract, fmt, eps_f, k, M, z, d)
     oracle = EstimateBreakdown(loading_bd.items + payoff_bd.items).total()
 
     # The Grover iterate contains the state preparation twice; its two
@@ -617,8 +565,8 @@ def end_to_end(
     return EndToEndReport(
         method=method,
         oracle=oracle,
-        loading=loading,
-        payoff=payoff,
+        loading=loading_bd.total(),
+        payoff=payoff_bd.total(),
         n_oracle=n_oracle,
         total_t_depth=total_t_depth,
         total_t_count=total_t_count,

@@ -3,8 +3,9 @@ Command-line entry point exposing every capability as a subcommand.
 
 Subcommands: price-mc, price-exact, estimate-resources, error-budget,
 iqae-demo, train-loader, qarith, table1.  Each consumes a JSON config
-(--config), writes JSON or CSV (--format) to --out or stdout, and embeds
-the config's SHA-256 hash and the seed in its report for auditability.
+(--config) and returns a report dict; ``main`` stamps the seed and the
+config's SHA-256 hash onto it for auditability and writes it as JSON or
+CSV (--format) to --out or stdout.
 QDP_OUT_DIR sets the default output directory.
 """
 
@@ -111,12 +112,13 @@ def _rows_key(doc: dict, key: str, default, read) -> list:
     return items
 
 
-def _emit(report, out_path: str | None, fmt: str, csv_rows=None) -> None:
+def _emit(report: dict, out_path: str | None, fmt: str) -> None:
+    """Write a report as JSON, or as CSV of its rows (the report itself when
+    it has none)."""
     if fmt == "json":
         text = json.dumps(report, indent=2, default=_json_default)
     else:
-        if csv_rows is None:
-            csv_rows = [report] if isinstance(report, dict) else list(report)
+        csv_rows = report.get("rows", [report])
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))
         writer.writeheader()
@@ -140,7 +142,7 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _cmd_price_mc(doc: dict, digest: str, seed: int) -> dict:
+def _cmd_price_mc(doc: dict, seed: int) -> dict:
     params, contract = _parse_common(doc)
     n_paths = config_int(_get(doc, "paths", 100_000), "paths")
     result = pe.mc_price(params, contract, n_paths, seed=seed)
@@ -148,12 +150,10 @@ def _cmd_price_mc(doc: dict, digest: str, seed: int) -> dict:
         "estimate": result.estimate,
         "stderr": result.stderr,
         "paths": result.n_paths,
-        "seed": seed,
-        "config_sha256": digest,
     }
 
 
-def _cmd_price_exact(doc: dict, digest: str, seed: int) -> dict:
+def _cmd_price_exact(doc: dict, seed: int) -> dict:
     params, contract = _parse_common(doc)
     grid_doc = _require(doc, "grid")
     grid = GridSpec(
@@ -166,8 +166,6 @@ def _cmd_price_exact(doc: dict, digest: str, seed: int) -> dict:
         "normalized_expectation": result.a_hat,
         "total_mass": result.total_mass,
         "lattice_size": result.n_lattice_paths,
-        "seed": seed,
-        "config_sha256": digest,
     }
 
 
@@ -204,24 +202,19 @@ def _estimate(doc: dict, method: str | None = None) -> ce.EndToEndReport:
     )
 
 
-def _cmd_estimate_resources(doc: dict, digest: str, seed: int) -> dict:
-    report = _estimate(doc)
-    out = report.as_dict()
-    out["config_sha256"] = digest
-    out["seed"] = seed
-    return out
+def _cmd_estimate_resources(doc: dict, seed: int) -> dict:
+    return _estimate(doc).as_dict()
 
 
-def _cmd_error_budget(doc: dict, digest: str, seed: int) -> dict:
+def _cmd_error_budget(doc: dict, seed: int) -> dict:
     report = _estimate(doc)
     out = report.budget.as_dict()
     out["method"] = report.method
     out["feasible"] = report.feasible
-    out["config_sha256"] = digest
     return out
 
 
-def _cmd_iqae_demo(doc: dict, digest: str, seed: int) -> dict:
+def _cmd_iqae_demo(doc: dict, seed: int) -> dict:
     a = config_float(_get(doc, "a", 0.3), "a")
     alpha = config_float(_get(doc, "alpha", 0.32), "alpha")
     epsilons = _rows_key(doc, "epsilons", [1e-2, 3e-3, 1e-3, 3e-4], config_float)
@@ -245,10 +238,10 @@ def _cmd_iqae_demo(doc: dict, digest: str, seed: int) -> dict:
                 "coverage": covered / n_seeds,
             }
         )
-    return {"a": a, "alpha": alpha, "rows": rows, "seed": seed, "config_sha256": digest}
+    return {"a": a, "alpha": alpha, "rows": rows}
 
 
-def _cmd_train_loader(doc: dict, digest: str, seed: int) -> dict:
+def _cmd_train_loader(doc: dict, seed: int) -> dict:
     n = config_int(_get(doc, "n", 4), "n")
     depths = _rows_key(doc, "depths", [2, 4, 6, 8], config_int)
     restarts = config_int(_get(doc, "restarts", 4), "restarts")
@@ -259,15 +252,10 @@ def _cmd_train_loader(doc: dict, digest: str, seed: int) -> dict:
         for L, r in sorted(results.items())
     ]
     params = {str(L): r.best_params.tolist() for L, r in results.items()}
-    return {
-        "rows": rows,
-        "trained_params": params,
-        "seed": seed,
-        "config_sha256": digest,
-    }
+    return {"rows": rows, "trained_params": params}
 
 
-def _cmd_qarith(doc: dict, digest: str, seed: int) -> dict:
+def _cmd_qarith(doc: dict, seed: int) -> dict:
     primitive = _get(doc, "primitive", "add")
     n_values = _rows_key(doc, "n_values", list(range(8, 40, 2)), config_int)
     p = config_int(_get(doc, "p", 2), "p")
@@ -301,10 +289,10 @@ def _cmd_qarith(doc: dict, digest: str, seed: int) -> dict:
                 "logical_qubits": rc.logical_qubits,
             }
         )
-    return {"primitive": primitive, "rows": rows, "config_sha256": digest}
+    return {"primitive": primitive, "rows": rows}
 
 
-def _cmd_table1(doc: dict, digest: str, seed: int) -> dict:
+def _cmd_table1(doc: dict, seed: int) -> dict:
     methods = _rows_key(
         doc, "methods", ["riemann", "riemann-no-norm", "reparam"], lambda item, key: item
     )
@@ -328,7 +316,7 @@ def _cmd_table1(doc: dict, digest: str, seed: int) -> dict:
                     "reference_logical_qubits": ref[2],
                 }
             )
-    return {"rows": rows, "seed": seed, "config_sha256": digest}
+    return {"rows": rows}
 
 
 _COMMANDS = {
@@ -370,16 +358,17 @@ def main(argv=None) -> int:
             doc, digest = {}, hashlib.sha256(b"{}").hexdigest()
         else:
             raise ConfigError(f"subcommand '{args.command}' requires --config")
-        report = _COMMANDS[args.command](doc, digest, args.seed)
+        report = _COMMANDS[args.command](doc, args.seed)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report["seed"] = args.seed
+    report["config_sha256"] = digest
 
     out = args.out
     if out and not os.path.isabs(out):
         out = os.path.join(os.environ.get("QDP_OUT_DIR", "."), out)
-    csv_rows = report.get("rows") if isinstance(report, dict) else None
-    _emit(report, out, args.format, csv_rows=csv_rows)
+    _emit(report, out, args.format)
     return 0
 
 

@@ -117,6 +117,8 @@ class AutocallableSpec:
         object.__setattr__(
             self, "barrier_dates", tuple(float(t) for t in self.barrier_dates)
         )
+        if not self.binaries:
+            raise ValueError("binaries must not be empty")
         times = [t for _, t, _ in self.binaries]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("binary payment times must be strictly increasing")

@@ -276,32 +276,14 @@ def _centered_momenta(mesh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return signs, p
 
 
-def harmonic_energy(
-    state: np.ndarray, m: float, x0: float, mesh: np.ndarray
-) -> float:
-    """Energy <H> for H = P^2/(2m) + m (X - x0)^2 / 2 on a uniform mesh.
-
-    The position term reads probabilities off the amplitudes directly;
-    the momentum term reads them off the centered Fourier transform.
-    """
-    state = np.asarray(state, dtype=float)
-    mesh = np.asarray(mesh, dtype=float)
-    probs = state**2
-    e_x = 0.5 * m * float(np.sum(probs * (mesh - x0) ** 2))
-
-    signs, p = _centered_momenta(mesh)
-    momentum_amps = np.fft.fft(state * signs) / math.sqrt(state.size)
-    e_p = float(np.sum(np.abs(momentum_amps) ** 2 * p**2)) / (2.0 * m)
-    return e_x + e_p
-
-
 def _apply_hamiltonian(
     state: np.ndarray, m: float, x0: float, mesh: np.ndarray
 ) -> np.ndarray:
-    """H psi for the oscillator of ``harmonic_energy``, on a real psi.
+    """H psi for H = P^2/(2m) + m (X - x0)^2 / 2 on a uniform mesh, real psi.
 
-    The kinetic term goes to momentum space and back through the same
-    centered transform; its real part is kept, as H is real symmetric.
+    The potential term multiplies by the mesh; the kinetic term goes to
+    momentum space and back through the centered transform, and its real
+    part is kept, as H is real symmetric.  <H> is psi @ H psi.
     """
     signs, p = _centered_momenta(mesh)
     kinetic = signs * np.fft.ifft(p**2 / (2.0 * m) * np.fft.fft(signs * state)).real
@@ -407,9 +389,14 @@ def train(
     the infinity-norm refinement of ``_refine_linf``: L2 descent and the
     exact minimax solve, both on adjoint derivatives.  Each restart's
     refined state is simulated once for its infinity norm (and, for a new
-    best, its energy).  The best restart by final infinity-norm wins.  A
-    ``warm_start`` parameter vector of whole n-angle layers (padded with
-    zero-angle layers if shorter) joins the restart pool.  The target is
+    best, its energy, the value the first phase minimizes).  The best
+    restart by final infinity-norm wins.  A ``warm_start`` parameter vector
+    of whole n-angle layers (padded with zero-angle layers if shorter)
+    joins the restart pool.  The padding is not a continuation: a
+    zero-angle block still applies its CNOT ladder, which permutes the
+    amplitudes, so a padded start does not prepare the shallower
+    circuit's state (``train(4, 2, restarts=1, seed=0)`` reaches L-inf
+    2.05e-4, and its angles padded to L=3 read 0.237).  The target is
     the cells of ``GridSpec(n, w)``, the grid every register of the step
     law holds.
 
@@ -465,7 +452,7 @@ def train(
         if li < best_linf:
             best_linf = li
             best_params = theta
-            best_energy = harmonic_energy(psi, m, 0.0, mesh)
+            best_energy = energy(psi)[0]
     return TrainResult(
         best_params=np.asarray(best_params), l_inf=best_linf, energy=best_energy
     )
@@ -474,13 +461,16 @@ def train(
 def train_sweep(
     n: int, depths, restarts: int = 8, seed: int = 0, w: float = 5.0
 ) -> dict[int, TrainResult]:
-    """Train over increasing depths, warm-starting each from the previous best.
+    """Train over increasing depths, warm-starting each from the previous depth.
 
     Each entry reports the best result over trained depths <= L: a
     shallower circuit fits inside a larger depth budget (the extra
     entangling blocks are simply not applied), so the per-budget loss is
     non-increasing by construction and the carried parameters identify
-    the depth that achieved it.
+    the depth that achieved it.  The warm start hands each depth the
+    previous depth's angles padded with zero-angle layers, as one more
+    restart; the padded blocks' CNOT ladders still act (see ``train``), so
+    it starts away from the shallower optimum, not at it.
     """
     results: dict[int, TrainResult] = {}
     warm = None

@@ -2,7 +2,8 @@
 Closed-form fault-tolerant cost models for fixed-point quantum arithmetic.
 
 Every primitive reports a :class:`ResourceCount` with Toffoli count,
-T-count, T-depth, and logical qubits.  The cost model assumptions are:
+rotation T gates, T-depth, and logical qubits; its T-count is derived
+from the first two.  The cost model assumptions are:
 
 - Toffoli gates are realized at T-depth 1 each through an ancilla-based
   decomposition, and contribute ``T_PER_TOFFOLI = 7`` T gates to counts.
@@ -41,27 +42,26 @@ class FixedPointFormat:
 
 @dataclass(frozen=True)
 class ResourceCount:
-    """Logical resource tally for one circuit component."""
+    """Logical resource tally for one circuit component.
+
+    The T-count is derived, not stored: ``T_PER_TOFFOLI`` per Toffoli plus
+    the T gates of synthesized rotations, so no count can disagree with
+    its gates.
+    """
 
     toffoli_count: int = 0
-    t_count: int = 0
+    rotation_t_count: int = 0
     t_depth: int = 0
     logical_qubits: int = 0
 
     def __post_init__(self):
-        for name in ("toffoli_count", "t_count", "t_depth", "logical_qubits"):
+        for name in ("toffoli_count", "rotation_t_count", "t_depth", "logical_qubits"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
-
-def from_toffoli(toffoli: int, t_depth: int, logical_qubits: int = 0) -> ResourceCount:
-    """ResourceCount for a Toffoli-only component under the T_PER_TOFFOLI model."""
-    return ResourceCount(
-        toffoli_count=toffoli,
-        t_count=T_PER_TOFFOLI * toffoli,
-        t_depth=t_depth,
-        logical_qubits=logical_qubits,
-    )
+    @property
+    def t_count(self) -> int:
+        return T_PER_TOFFOLI * self.toffoli_count + self.rotation_t_count
 
 
 def popcount(n: int) -> int:
@@ -111,7 +111,7 @@ def add_resources(fmt: FixedPointFormat, controlled: bool = False) -> ResourceCo
         toffoli += 6 * n
         depth += 6
         qubits += n + 1
-    return from_toffoli(toffoli, depth, qubits)
+    return ResourceCount(toffoli_count=toffoli, t_depth=depth, logical_qubits=qubits)
 
 
 def mul_depth(n: int, z: int) -> int:
@@ -126,14 +126,14 @@ def mul_resources(fmt: FixedPointFormat, z: int = 1) -> ResourceCount:
     n, p = fmt.n, fmt.p
     toffoli = round(1.5 * n * n + 3 * n * p + 1.5 * n - 3 * p * p + 3 * p)
     qubits = 3 * n + (z - 1) * n
-    return from_toffoli(toffoli, mul_depth(n, z), qubits)
+    return ResourceCount(toffoli_count=toffoli, t_depth=mul_depth(n, z), logical_qubits=qubits)
 
 
 def sqrt_resources(fmt: FixedPointFormat) -> ResourceCount:
     """Square root of an n-bit register."""
     n = fmt.n
     toffoli = n * n // 2 + 3 * n - 4
-    return from_toffoli(toffoli, 5 * n + 3, 2 * n + 1)
+    return ResourceCount(toffoli_count=toffoli, t_depth=5 * n + 3, logical_qubits=2 * n + 1)
 
 
 def comparator_depth(n: int) -> int:
@@ -150,7 +150,7 @@ def comparator_resources(fmt: FixedPointFormat) -> ResourceCount:
     modeled as equal to the depth (a documented lower-bound convention).
     """
     depth = comparator_depth(fmt.n)
-    return from_toffoli(depth, depth, 2 * fmt.n + 1)
+    return ResourceCount(toffoli_count=depth, t_depth=depth, logical_qubits=2 * fmt.n + 1)
 
 
 def poly_eval_depth(n: int, z: int, k: int) -> int:
@@ -196,7 +196,8 @@ def exp_resources(fmt: FixedPointFormat, k: int, M: int, z: int = 1) -> Resource
     n, p = fmt.n, fmt.p
     toffoli = max(exp_toffoli(n, p, k, M), 0)
     depth = piecewise_poly_depth(n, z, k, M)
-    return from_toffoli(toffoli, depth, piecewise_poly_qubits(n, k, M))
+    qubits = piecewise_poly_qubits(n, k, M)
+    return ResourceCount(toffoli_count=toffoli, t_depth=depth, logical_qubits=qubits)
 
 
 def arcsin_sqrt_toffoli(n: int, p: int, k: int, M: int) -> int:
@@ -220,7 +221,7 @@ def arcsin_sqrt_resources(
     toffoli = max(arcsin_sqrt_toffoli(n, p, k, M), 0)
     depth = sqrt_resources(fmt).t_depth + piecewise_poly_depth(n, z, k, M) + 8 * n + 6
     qubits = piecewise_poly_qubits(n, k, M) + 2 * n + 1
-    return from_toffoli(toffoli, depth, qubits)
+    return ResourceCount(toffoli_count=toffoli, t_depth=depth, logical_qubits=qubits)
 
 
 def rotation_depth(epsilon: float) -> int:
@@ -233,7 +234,7 @@ def rotation_depth(epsilon: float) -> int:
 def rotation_resources(epsilon: float) -> ResourceCount:
     """Single arbitrary-angle Ry rotation."""
     depth = rotation_depth(epsilon)
-    return ResourceCount(toffoli_count=0, t_count=depth, t_depth=depth, logical_qubits=1)
+    return ResourceCount(rotation_t_count=depth, t_depth=depth, logical_qubits=1)
 
 
 def effective_rotation_bits(fmt: FixedPointFormat, epsilon: float) -> int:

@@ -27,19 +27,27 @@ def within_factor(value, reference, factor=2.0):
 
 
 class TestBreakdowns:
-    def test_riemann_breakdown_recomposes(self):
-        total, breakdown = riemann_loading_resources(FMT, 3, 20, 1e-4)
+    @staticmethod
+    def assert_recomposes(breakdown):
+        total = breakdown.total()
         breakdown.assert_consistent(total)
+        for field in ("toffoli_count", "t_count", "t_depth", "logical_qubits"):
+            assert getattr(total, field) == sum(
+                getattr(rc, field) for _, rc in breakdown.items
+            )
+
+    def test_riemann_breakdown_recomposes(self):
+        self.assert_recomposes(riemann_loading_resources(FMT, 3, 20, 1e-4))
 
     def test_reparam_breakdown_recomposes(self):
-        total, breakdown = reparam_loading_resources(G_FMT, 3, 20, 6, 1e-4)
-        breakdown.assert_consistent(total)
+        self.assert_recomposes(reparam_loading_resources(G_FMT, 3, 20, 6, 1e-4))
 
     def test_inconsistent_total_detected(self):
-        total, breakdown = riemann_loading_resources(FMT, 1, 2, 1e-4)
+        breakdown = riemann_loading_resources(FMT, 1, 2, 1e-4)
+        total = breakdown.total()
         wrong = ResourceCount(
             toffoli_count=total.toffoli_count + 1,
-            t_count=total.t_count,
+            rotation_t_count=total.rotation_t_count,
             t_depth=total.t_depth,
             logical_qubits=total.logical_qubits,
         )
@@ -47,7 +55,7 @@ class TestBreakdowns:
             breakdown.assert_consistent(wrong)
 
     def test_rows_shape(self):
-        _, breakdown = riemann_loading_resources(FMT, 3, 20, 1e-4)
+        breakdown = riemann_loading_resources(FMT, 3, 20, 1e-4)
         rows = breakdown.as_rows()
         assert all(
             set(r) == {"stage", "toffoli_count", "t_count", "t_depth", "logical_qubits"}
@@ -66,7 +74,7 @@ class TestRiemannLoading:
         assert within_factor(report.logical_qubits, 23_000)
 
     def test_d1_has_no_cross_terms(self):
-        _, breakdown = riemann_loading_resources(FMT, 1, 4, 1e-4)
+        breakdown = riemann_loading_resources(FMT, 1, 4, 1e-4)
         cross = dict(breakdown.items)["correlation cross terms"]
         assert cross.toffoli_count == 0
         assert cross.t_depth == 0
@@ -89,7 +97,7 @@ class TestReparamLoading:
         assert within_factor(report.logical_qubits, 8_000)
 
     def test_ansatz_item_is_loader_cost_per_register(self):
-        _, breakdown = reparam_loading_resources(G_FMT, 3, 20, 6, 1e-4)
+        breakdown = reparam_loading_resources(G_FMT, 3, 20, 6, 1e-4)
         layers = dict(breakdown.items)["gaussian ansatz layers"]
         loader = loader_gate_resources(5, 6, 1e-4)
         assert layers.t_depth == loader.t_depth
@@ -97,15 +105,15 @@ class TestReparamLoading:
         assert layers.logical_qubits == 3 * 20 * loader.logical_qubits
 
     def test_depth_linear_in_ansatz_layers(self):
-        d0, _ = reparam_loading_resources(G_FMT, 1, 2, 0, 1e-4)
-        d6, _ = reparam_loading_resources(G_FMT, 1, 2, 6, 1e-4)
+        d0 = reparam_loading_resources(G_FMT, 1, 2, 0, 1e-4).total()
+        d6 = reparam_loading_resources(G_FMT, 1, 2, 6, 1e-4).total()
         layer = math.ceil(3 * 5 * math.log2(5 / 1e-4))
         assert d6.t_depth - d0.t_depth == 6 * layer
 
     def test_shallower_than_riemann_at_benchmarks(self):
         for d, T in ((3, 20), (1, 26)):
-            reparam, _ = reparam_loading_resources(G_FMT, d, T, 6, 1e-4)
-            riemann, _ = riemann_loading_resources(FMT, d, T, 1e-4)
+            reparam = reparam_loading_resources(G_FMT, d, T, 6, 1e-4).total()
+            riemann = riemann_loading_resources(FMT, d, T, 1e-4).total()
             assert reparam.t_depth < riemann.t_depth
 
 
@@ -129,15 +137,12 @@ class TestLoaderResources:
 
 class TestPayoffCircuits:
     def test_autocall_benchmark_magnitudes(self, autocall_contract):
-        total, breakdown = autocall_payoff_resources(
-            autocall_contract, FMT, 1e-4, d=3
-        )
-        breakdown.assert_consistent(total)
+        total = autocall_payoff_resources(autocall_contract, FMT, 1e-4, d=3).total()
         assert within_factor(total.t_depth, 3_200)
         assert within_factor(total.logical_qubits, 1_600)
 
     def test_autocall_rotation_count_matches_binaries(self, autocall_contract):
-        _, breakdown = autocall_payoff_resources(autocall_contract, FMT, 1e-4, d=3)
+        breakdown = autocall_payoff_resources(autocall_contract, FMT, 1e-4, d=3)
         m = len(autocall_contract.binaries)
         rot = dict(breakdown.items)["binary coupon rotations"]
         per = rot.t_count // m
@@ -145,8 +150,7 @@ class TestPayoffCircuits:
         assert rot.logical_qubits == m
 
     def test_tarf_benchmark_magnitudes(self, tarf_contract):
-        total, breakdown = tarf_payoff_resources(tarf_contract, FMT, 1e-4)
-        breakdown.assert_consistent(total)
+        total = tarf_payoff_resources(tarf_contract, FMT, 1e-4).total()
         assert within_factor(total.t_depth, 6_000)
         assert within_factor(total.logical_qubits, 9_000)
 
@@ -157,7 +161,7 @@ class TestPayoffCircuits:
             forward=20.0, payment_times=(1.0,), k_upper=20.0, k_lower=15.0,
             barrier=30.0, alpha=2.0, cap=5.0,
         )
-        _, breakdown = tarf_payoff_resources(spec, FMT, 1e-4)
+        breakdown = tarf_payoff_resources(spec, FMT, 1e-4)
         prefix = dict(breakdown.items)["running-total prefix sums"]
         assert prefix.t_depth == 0
         assert prefix.toffoli_count == 0

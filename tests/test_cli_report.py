@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -201,6 +202,48 @@ class TestPricingCommands:
         code, _, err = run_cli(capsys, "price-mc", "--config", str(incomplete))
         assert code == 2
         assert "contract" in err
+
+
+    @pytest.mark.parametrize("command", ["price-mc", "price-exact", "estimate-resources"])
+    def test_autocallable_without_binaries_is_config_error(
+        self, tmp_path, capsys, autocall_config, command
+    ):
+        doc = json.loads(json.dumps(autocall_config))
+        doc["contract"]["binaries"] = []
+        config = tmp_path / "no_binaries.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "binaries must not be empty" in err
+
+
+class TestReportStamp:
+    # A config per command: None is the small pricing config, a string a
+    # shipped benchmark config.
+    CONFIGS = {
+        "price-mc": None, "price-exact": None, "estimate-resources": "tarf",
+        "error-budget": "tarf", "qarith": {"n_values": [8]},
+        "iqae-demo": {"epsilons": [1e-2], "n_seeds": 1},
+        "train-loader": {"n": 2, "depths": [0], "restarts": 1}, "table1": {},
+    }
+
+    @pytest.mark.parametrize("command", list(CONFIGS))
+    def test_every_report_ends_with_seed_and_config_hash(self, tmp_path, capsys, command):
+        config = self.CONFIGS[command]
+        if config is None:
+            path = small_pricing_config(tmp_path, paths=100)
+        else:
+            doc = load_benchmark_config(config) if isinstance(config, str) else config
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--config", str(path), "--seed", "7")
+        assert code == 0, err
+        report = json.loads(out)
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert list(report)[-2:] == ["seed", "config_sha256"]
+        assert report["seed"] == 7
+        assert report["config_sha256"] == digest
 
 
 class TestEstimatorCommands:

@@ -67,6 +67,10 @@ class TestSpecs:
                 binaries=((1.1, 1.0, 2.0),),
                 k_put=1.0, barrier=1.2, notional=18.0, barrier_dates=(1.0,),
             )
+        with pytest.raises(ValueError, match="binaries must not be empty"):
+            AutocallableSpec(
+                binaries=(), k_put=1.0, barrier=0.7, notional=18.0, barrier_dates=(1.0,),
+            )
 
     def test_tarf_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from qdp.gaussian_loader import (
     RyCnotAnsatz,
     digitize,
     discretized_hamiltonian,
-    harmonic_energy,
     linf_loss,
     simulate_ansatz,
     train,
@@ -288,13 +287,17 @@ class TestLoaderTarget:
         assert linf_loss(state, target) == pytest.approx(expected)
 
 
+def oscillator_energy(psi, x0, coords):
+    """<H> of the discretized oscillator (m = 1/2) from its dense matrix."""
+    return float(np.real(psi @ discretized_hamiltonian(0.5, x0, coords) @ psi))
+
+
 class TestHarmonicEnergy:
     def test_gaussian_state_near_ground_energy(self):
         target = GridSpec(n=7, w=6.0)
         psi = np.sqrt(target.masses)
         psi /= np.linalg.norm(psi)
-        energy = harmonic_energy(psi, 0.5, 0.0, target.coords)
-        assert energy == pytest.approx(0.5, abs=1e-3)
+        assert oscillator_energy(psi, 0.0, target.coords) == pytest.approx(0.5, abs=1e-3)
 
     def test_variational_principle(self):
         target = GridSpec(n=5, w=5.0)
@@ -304,17 +307,19 @@ class TestHarmonicEnergy:
         for _ in range(20):
             psi = rng.normal(size=32)
             psi /= np.linalg.norm(psi)
-            assert harmonic_energy(psi, 0.5, 0.0, target.coords) >= lam_min - 1e-10
+            h_psi = gl._apply_hamiltonian(psi, 0.5, 0.0, target.coords)
+            assert float(psi @ h_psi) >= lam_min - 1e-10
 
     def test_matrix_matches_quadratic_form(self):
         target = GridSpec(n=4, w=5.0)
-        H = discretized_hamiltonian(0.5, 0.0, target.coords)
         rng = np.random.default_rng(1)
         for _ in range(5):
             psi = rng.normal(size=16)
             psi /= np.linalg.norm(psi)
-            direct = float(np.real(psi @ H @ psi))
-            assert harmonic_energy(psi, 0.5, 0.0, target.coords) == pytest.approx(direct)
+            h_psi = gl._apply_hamiltonian(psi, 0.5, 0.0, target.coords)
+            assert float(psi @ h_psi) == pytest.approx(
+                oscillator_energy(psi, 0.0, target.coords)
+            )
 
     @pytest.mark.parametrize("n,x0", [(1, 0.0), (3, 0.0), (4, 0.7), (6, -1.5)])
     def test_hamiltonian_action_matches_matrix(self, n, x0):
@@ -325,16 +330,26 @@ class TestHarmonicEnergy:
         h_psi = gl._apply_hamiltonian(psi, 0.5, x0, target.coords)
         assert h_psi == pytest.approx(H.real @ psi, rel=0, abs=1e-12)
         assert float(psi @ h_psi) == pytest.approx(
-            harmonic_energy(psi, 0.5, x0, target.coords), rel=0, abs=1e-12
+            oscillator_energy(psi, x0, target.coords), rel=0, abs=1e-12
         )
 
     def test_center_shift(self):
         target = GridSpec(n=6, w=5.0)
         psi = np.sqrt(target.masses)
         psi /= np.linalg.norm(psi)
-        centered = harmonic_energy(psi, 0.5, 0.0, target.coords)
-        shifted = harmonic_energy(psi, 0.5, 2.0, target.coords)
+        centered = oscillator_energy(psi, 0.0, target.coords)
+        shifted = oscillator_energy(psi, 2.0, target.coords)
         assert shifted > centered
+
+    def test_train_reports_energy_of_best_state(self):
+        result = train(3, 1, restarts=1, seed=0)
+        target = GridSpec(n=3)
+        psi = simulate_ansatz(RyCnotAnsatz(n=3, L=1), result.best_params)
+        H = discretized_hamiltonian(0.5, 0.0, target.coords)
+        assert result.energy == pytest.approx(
+            oscillator_energy(psi, 0.0, target.coords), rel=0, abs=1e-12
+        )
+        assert result.energy >= float(np.linalg.eigvalsh(H)[0]) - 1e-12
 
 
 class TestTraining:

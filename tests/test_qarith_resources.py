@@ -181,6 +181,15 @@ class TestComposition:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             ResourceCount(toffoli_count=-1)
+        with pytest.raises(ValueError, match="rotation_t_count"):
+            ResourceCount(rotation_t_count=-1)
+
+    def test_t_count_is_derived_from_gates(self):
+        rc = ResourceCount(toffoli_count=3, rotation_t_count=5, t_depth=4)
+        assert rc.t_count == T_PER_TOFFOLI * 3 + 5
+        assert ResourceCount().t_count == 0
+        with pytest.raises(TypeError):
+            ResourceCount(t_count=1)
 
 
 @pytest.mark.parametrize(
