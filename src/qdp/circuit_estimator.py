@@ -402,24 +402,53 @@ class EndToEndReport:
     oracle-call bound at ``budget.eps_amp``: for "riemann" that is the
     amplitude half-width divided by ``scale``, so the normalization shows
     up in ``n_oracle`` and the totals; "riemann-no-norm" and "reparam" use
-    the price-level half-width.  Totals are 2 * oracle * n_oracle.
-    ``budget.scale`` is P_max^T * f_delta for "riemann" and f_delta for the
-    other two methods, which apply no normalization.
+    the price-level half-width.  ``budget.scale`` is P_max^T * f_delta for
+    "riemann" and f_delta for the other two methods, which apply no
+    normalization.
+
+    Every other figure is derived from these fields: the oracle is the
+    loading stages followed by the payoff stages, and the totals are
+    2 * oracle * n_oracle.
     """
 
     method: str
-    oracle: ResourceCount
-    loading: ResourceCount
-    payoff: ResourceCount
     n_oracle: int
-    total_t_depth: int
-    total_t_count: int
-    logical_qubits: int
     budget: eb.ErrorBudget
     scale: float
-    feasible: bool
     loading_breakdown: EstimateBreakdown
     payoff_breakdown: EstimateBreakdown
+
+    @property
+    def loading(self) -> ResourceCount:
+        return self.loading_breakdown.total()
+
+    @property
+    def payoff(self) -> ResourceCount:
+        return self.payoff_breakdown.total()
+
+    @property
+    def oracle(self) -> ResourceCount:
+        return EstimateBreakdown(
+            self.loading_breakdown.items + self.payoff_breakdown.items
+        ).total()
+
+    # The Grover iterate contains the state preparation twice; its two
+    # reflections are Clifford-dominated and carry no T cost here.
+    @property
+    def total_t_depth(self) -> int:
+        return 2 * self.oracle.t_depth * self.n_oracle
+
+    @property
+    def total_t_count(self) -> int:
+        return 2 * self.oracle.t_count * self.n_oracle
+
+    @property
+    def logical_qubits(self) -> int:
+        return self.oracle.logical_qubits
+
+    @property
+    def feasible(self) -> bool:
+        return not (self.method == "riemann" and self.scale > INFEASIBLE_SCALE)
 
     def as_dict(self) -> dict:
         return {
@@ -553,27 +582,11 @@ def end_to_end(
 
     n_oracle = math.ceil(oracle_call_bound(eps_amp, 1.0 - confidence))
 
-    payoff_bd = _payoff_circuit(contract, fmt, eps_f, k, M, z, d)
-    oracle = EstimateBreakdown(loading_bd.items + payoff_bd.items).total()
-
-    # The Grover iterate contains the state preparation twice; its two
-    # reflections are Clifford-dominated and carry no T cost here.
-    total_t_depth = 2 * oracle.t_depth * n_oracle
-    total_t_count = 2 * oracle.t_count * n_oracle
-    feasible = not (method == "riemann" and scale > INFEASIBLE_SCALE)
-
     return EndToEndReport(
         method=method,
-        oracle=oracle,
-        loading=loading_bd.total(),
-        payoff=payoff_bd.total(),
         n_oracle=n_oracle,
-        total_t_depth=total_t_depth,
-        total_t_count=total_t_count,
-        logical_qubits=oracle.logical_qubits,
         budget=budget,
         scale=scale,
-        feasible=feasible,
         loading_breakdown=loading_bd,
-        payoff_breakdown=payoff_bd,
+        payoff_breakdown=_payoff_circuit(contract, fmt, eps_f, k, M, z, d),
     )

@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from importlib import resources as importlib_resources
@@ -45,20 +46,18 @@ REFERENCE_RESULTS = {
 }
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _load_config(path: str) -> tuple[dict, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise ValueError(f"cannot read config {path}: {exc}")
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
+        raise ValueError(f"config {path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {path} must be a JSON object")
     digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
     return doc, digest
 
@@ -82,18 +81,28 @@ def _get(doc: dict, key: str, default=None):
 
 def _require(doc: dict, key: str, context: str = "config"):
     if _get(doc, key) is None:
-        raise ConfigError(f"{context} is missing required key '{key}'")
+        raise ValueError(f"{context} is missing required key '{key}'")
     return doc[key]
 
 
+def _section(doc: dict, key: str, required: bool = True) -> dict:
+    """``doc[key]`` if it is a JSON object; an absent or null key raises as
+    in ``_require``, or reads as ``{}`` when not ``required``, and any other
+    value raises a ValueError naming ``key``."""
+    value = _require(doc, key) if required else _get(doc, key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"config key '{key}' must be a JSON object")
+    return value
+
+
 def _parse_common(doc: dict):
-    params = GBMParams.from_dict(_require(doc, "model"))
-    contract = contract_from_dict(_require(doc, "contract"))
+    params = GBMParams.from_dict(_section(doc, "model"))
+    contract = contract_from_dict(_section(doc, "contract"))
     return params, contract
 
 
 def _fmt_from(doc: dict, key: str) -> qa.FixedPointFormat:
-    sub = _require(doc, key)
+    sub = _section(doc, key)
     return qa.FixedPointFormat(
         n=config_int(_require(sub, "n", key), f"{key}.n"),
         p=config_int(_require(sub, "p", key), f"{key}.p"),
@@ -104,42 +113,40 @@ def _rows_key(doc: dict, key: str, default, read) -> list:
     """``doc[key]`` (``default`` when absent or null) read by ``config_list``.
 
     Each item gives the report one row or more, so an empty list raises a
-    ConfigError naming ``key``.
+    ValueError naming ``key``.
     """
     items = config_list(_get(doc, key, default), key, read)
     if not items:
-        raise ConfigError(f"config key '{key}' must be a non-empty list")
+        raise ValueError(f"config key '{key}' must be a non-empty list")
     return items
 
 
 def _emit(report: dict, out_path: str | None, fmt: str) -> None:
-    """Write a report as JSON, or as CSV of its rows (the report itself when
-    it has none)."""
+    """Write a report as strict JSON (no NaN or infinity), or as CSV of its
+    rows (the report itself when it has none) with each dict or list cell
+    written as JSON text."""
     if fmt == "json":
-        text = json.dumps(report, indent=2, default=_json_default)
+        text = json.dumps(report, indent=2, allow_nan=False)
     else:
         csv_rows = report.get("rows", [report])
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))
         writer.writeheader()
         for row in csv_rows:
-            writer.writerow(row)
+            writer.writerow(
+                {
+                    key: json.dumps(value, allow_nan=False)
+                    if isinstance(value, (dict, list))
+                    else value
+                    for key, value in row.items()
+                }
+            )
         text = buf.getvalue()
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _cmd_price_mc(doc: dict, seed: int) -> dict:
@@ -155,7 +162,7 @@ def _cmd_price_mc(doc: dict, seed: int) -> dict:
 
 def _cmd_price_exact(doc: dict, seed: int) -> dict:
     params, contract = _parse_common(doc)
-    grid_doc = _require(doc, "grid")
+    grid_doc = _section(doc, "grid")
     grid = GridSpec(
         n=config_int(_require(grid_doc, "n", "grid"), "grid.n"),
         w=config_float(_require(grid_doc, "w", "grid"), "grid.w"),
@@ -163,7 +170,8 @@ def _cmd_price_exact(doc: dict, seed: int) -> dict:
     result = pe.exact_lattice_price(params, contract, grid)
     return {
         "estimate": result.price,
-        "normalized_expectation": result.a_hat,
+        # A European call has no payoff bounds, so no normalized expectation.
+        "normalized_expectation": None if math.isnan(result.a_hat) else result.a_hat,
         "total_mass": result.total_mass,
         "lattice_size": result.n_lattice_paths,
     }
@@ -181,13 +189,13 @@ _ESTIMATE_KEYS = {
 def _estimate(doc: dict, method: str | None = None) -> ce.EndToEndReport:
     params, contract = _parse_common(doc)
     if not isinstance(contract, (AutocallableSpec, TARFSpec)):
-        raise ConfigError("resource estimates need an autocallable or tarf contract")
+        raise ValueError("resource estimates need an autocallable or tarf contract")
     kwargs = {
         key: read(doc[key], key)
         for key, read in _ESTIMATE_KEYS.items()
         if _get(doc, key) is not None
     }
-    w = _get(_get(doc, "grid", {}), "w")
+    w = _get(_section(doc, "grid", required=False), "w")
     if w is not None:
         kwargs["w"] = config_float(w, "grid.w")
     if _get(doc, "gaussian_fmt") is not None:
@@ -220,7 +228,7 @@ def _cmd_iqae_demo(doc: dict, seed: int) -> dict:
     epsilons = _rows_key(doc, "epsilons", [1e-2, 3e-3, 1e-3, 3e-4], config_float)
     n_seeds = config_int(_get(doc, "n_seeds", 20), "n_seeds")
     if n_seeds < 1:
-        raise ConfigError(f"config key 'n_seeds' must be at least 1, got {n_seeds}")
+        raise ValueError(f"config key 'n_seeds' must be at least 1, got {n_seeds}")
     rows = []
     for eps in epsilons:
         calls = []
@@ -278,7 +286,7 @@ def _cmd_qarith(doc: dict, seed: int) -> dict:
         elif primitive == "arcsin_sqrt":
             rc = qa.arcsin_sqrt_resources(fmt, k, M, z=z)
         else:
-            raise ConfigError(f"unknown primitive '{primitive}'")
+            raise ValueError(f"unknown primitive '{primitive}'")
         rows.append(
             {
                 "n": n,
@@ -357,9 +365,9 @@ def main(argv=None) -> int:
         elif args.command in _CONFIG_OPTIONAL:
             doc, digest = {}, hashlib.sha256(b"{}").hexdigest()
         else:
-            raise ConfigError(f"subcommand '{args.command}' requires --config")
+            raise ValueError(f"subcommand '{args.command}' requires --config")
         report = _COMMANDS[args.command](doc, args.seed)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report["seed"] = args.seed

@@ -5,9 +5,9 @@ The Monte Carlo engine is the classical baseline: sample d*T i.i.d.
 standard normals per path, map them to log-returns by the step map
 mu + L z, and average discounted payoffs.  Paths are generated in
 fixed-size chunks from a counter-based RNG keyed by (seed, chunk index).
-The chunks run on the calling thread plus one helper thread per further
-CPU the process may use, and each chunk's sums are added in chunk order
-afterwards, so a (seed, n_paths) pair gives the same bit-identical
+The chunks run on a ``concurrent.futures.ThreadPoolExecutor`` with one
+worker per CPU the process may use, and each chunk's sums are added in
+chunk order, so a (seed, n_paths) pair gives the same bit-identical
 estimate at any CPU count.
 
 This module keeps only the engines.  It reads the model from
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,63 +125,20 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _map_chunks(fn, n_chunks: int) -> list:
-    """``[fn(c) for c in range(n_chunks)]``, spread over the process's CPUs.
-
-    The calling thread and ``min(CPUs, n_chunks) - 1`` helper threads take
-    chunk indices in increasing order from one shared iterator, and each
-    result is stored at its chunk's index, so the list does not depend on
-    the thread count.  One CPU or one chunk starts no thread, and every
-    helper is joined before return.  Once a chunk raises, no thread takes
-    another chunk, and the exception of the lowest failing chunk is
-    re-raised: the one a serial loop would have met first.
-    """
-    results = [None] * n_chunks
-    errors: dict[int, BaseException] = {}
-    lock = threading.Lock()
-    indices = iter(range(n_chunks))
-
-    def work():
-        while True:
-            with lock:
-                c = None if errors else next(indices, None)
-            if c is None:
-                return
-            try:
-                results[c] = fn(c)
-            except BaseException as exc:  # re-raised on the calling thread
-                with lock:
-                    errors[c] = exc
-                return
-
-    helpers = [
-        threading.Thread(target=work) for _ in range(min(_cpu_count(), n_chunks) - 1)
-    ]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def mc_price(
     params: GBMParams, contract, n_paths: int, seed: int = 0
 ) -> PriceEstimate:
     """Monte Carlo price of a contract under correlated GBM.
 
     Paths come in chunks of 4096, each with its own random stream.  The
-    calling thread and ``min(CPUs, chunks) - 1`` helper threads take
-    chunks in index order, where CPUs is the size of the process's
-    affinity set (``os.cpu_count()`` where that is not available); the
-    helpers are joined before return.  The per-chunk sums of payoffs and
-    squared payoffs are then added serially in chunk order, so the
-    estimate does not depend on the CPU count.  An exception raised in
-    any chunk reaches the caller.
+    chunks run on a thread pool of ``min(CPUs, chunks)`` workers, where
+    CPUs is the size of the process's affinity set (``os.cpu_count()``
+    where that is not available).  The pool's ``map`` yields each chunk's
+    sums of payoffs and squared payoffs in chunk order, and they are added
+    in that order, so the estimate does not depend on the CPU count.  The
+    first failing chunk in that order raises in the caller, and the
+    chunks not yet started are cancelled.  Every worker is joined before
+    return.
 
     Parameters
     ----------
@@ -216,11 +173,11 @@ def mc_price(
     # Fixed reduction order: chunk sums accumulate serially in chunk order.
     total = 0.0
     total_sq = 0.0
-    for chunk_total, chunk_sq in _map_chunks(
-        chunk_sums, math.ceil(n_paths / _CHUNK_PATHS)
-    ):
-        total += chunk_total
-        total_sq += chunk_sq
+    n_chunks = math.ceil(n_paths / _CHUNK_PATHS)
+    with ThreadPoolExecutor(min(_cpu_count(), n_chunks)) as pool:
+        for chunk_total, chunk_sq in pool.map(chunk_sums, range(n_chunks)):
+            total += chunk_total
+            total_sq += chunk_sq
 
     mean = total / n_paths
     var = max(total_sq / n_paths - mean * mean, 0.0) * n_paths / (n_paths - 1)

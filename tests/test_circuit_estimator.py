@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from qdp.amplitude_estimation import oracle_call_bound
 from qdp.circuit_estimator import (
     INFEASIBLE_SCALE,
+    EstimateBreakdown,
     autocall_payoff_resources,
     end_to_end,
     loader_gate_resources,
@@ -214,6 +216,18 @@ class TestEndToEnd:
         )
         assert report.total_t_depth == 2 * report.oracle.t_depth * report.n_oracle
         assert report.total_t_count == 2 * report.oracle.t_count * report.n_oracle
+
+    def test_report_stores_only_what_it_cannot_derive(self, tarf_params, tarf_contract):
+        report = end_to_end("riemann", tarf_params, tarf_contract, FMT, 2e-3)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "method", "n_oracle", "budget", "scale",
+            "loading_breakdown", "payoff_breakdown",
+        ]
+        loading, payoff = report.loading_breakdown, report.payoff_breakdown
+        assert report.loading == loading.total()
+        assert report.payoff == payoff.total()
+        assert report.oracle == EstimateBreakdown(loading.items + payoff.items).total()
+        assert report.logical_qubits == report.oracle.logical_qubits
 
     def test_unachievable_target_names_binding_component(
         self, autocall_params, autocall_contract

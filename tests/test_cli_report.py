@@ -22,6 +22,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and infinities, as strict parsers do."""
+
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def small_pricing_config(tmp_path, paths=2000):
     doc = {
         "model": {
@@ -203,6 +212,40 @@ class TestPricingCommands:
         assert code == 2
         assert "contract" in err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("price-mc", "model", 5),
+            ("price-mc", "contract", []),
+            ("price-exact", "grid", 3),
+            ("estimate-resources", "grid", 3),
+            ("estimate-resources", "fmt", 7),
+            ("estimate-resources", "gaussian_fmt", [5, 3]),
+        ],
+    )
+    def test_non_object_section_rejected(
+        self, tmp_path, capsys, tarf_config, command, key, value
+    ):
+        if command == "estimate-resources":
+            doc = dict(tarf_config)
+        else:
+            doc = json.loads(Path(small_pricing_config(tmp_path)).read_text())
+        config = tmp_path / "section.json"
+        config.write_text(json.dumps(dict(doc, **{key: value})))
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"config key '{key}' must be a JSON object" in err
+
+    @pytest.mark.parametrize("command", ["price-mc", "qarith"])
+    def test_non_object_config_rejected(self, tmp_path, capsys, command):
+        config = tmp_path / "list.json"
+        config.write_text("[1, 2]")
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"config {config} must be a JSON object" in err
+
 
     @pytest.mark.parametrize("command", ["price-mc", "price-exact", "estimate-resources"])
     def test_autocallable_without_binaries_is_config_error(
@@ -228,22 +271,45 @@ class TestReportStamp:
         "train-loader": {"n": 2, "depths": [0], "restarts": 1}, "table1": {},
     }
 
-    @pytest.mark.parametrize("command", list(CONFIGS))
-    def test_every_report_ends_with_seed_and_config_hash(self, tmp_path, capsys, command):
+    def write_config(self, tmp_path, command) -> Path:
         config = self.CONFIGS[command]
         if config is None:
-            path = small_pricing_config(tmp_path, paths=100)
-        else:
-            doc = load_benchmark_config(config) if isinstance(config, str) else config
-            path = tmp_path / "config.json"
-            path.write_text(json.dumps(doc))
+            return Path(small_pricing_config(tmp_path, paths=100))
+        doc = load_benchmark_config(config) if isinstance(config, str) else config
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("command", list(CONFIGS))
+    def test_every_report_ends_with_seed_and_config_hash(self, tmp_path, capsys, command):
+        path = self.write_config(tmp_path, command)
         code, out, err = run_cli(capsys, command, "--config", str(path), "--seed", "7")
         assert code == 0, err
         report = json.loads(out)
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert list(report)[-2:] == ["seed", "config_sha256"]
         assert report["seed"] == 7
         assert report["config_sha256"] == digest
+
+    @pytest.mark.parametrize("command", list(CONFIGS))
+    def test_every_report_is_strict_json(self, tmp_path, capsys, command):
+        path = self.write_config(tmp_path, command)
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 0, err
+        strict_json(out)
+
+    def test_call_has_no_normalized_expectation(self, tmp_path, capsys):
+        doc = json.loads(Path(small_pricing_config(tmp_path)).read_text())
+        doc["contract"] = {"type": "european_call", "strike": 1.0, "expiry": 1.0}
+        config = tmp_path / "call.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "price-exact", "--config", str(config))
+        assert code == 0, err
+        assert strict_json(out)["normalized_expectation"] is None
+
+    def test_emit_refuses_nan(self):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli_report._emit({"estimate": float("nan")}, None, "json")
 
 
 class TestEstimatorCommands:
@@ -696,3 +762,20 @@ class TestOutputHandling:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 1
         assert "estimate" in rows[0]
+
+    def test_csv_nested_cells_are_json(self, tmp_path, capsys):
+        config = tmp_path / "tarf.json"
+        config.write_text(json.dumps(load_benchmark_config("tarf")))
+        reports = {}
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(
+                capsys, "estimate-resources", "--config", str(config), "--format", fmt
+            )
+            assert code == 0, err
+            reports[fmt] = out
+        report = json.loads(reports["json"])
+        [row] = list(csv.DictReader(io.StringIO(reports["csv"])))
+        nested = [key for key, value in report.items() if isinstance(value, (dict, list))]
+        assert nested == ["error_budget", "loading_breakdown", "payoff_breakdown"]
+        for key in nested:
+            assert json.loads(row[key]) == report[key]

@@ -259,41 +259,35 @@ class TestThreadedChunks:
             result = mc_price(params, contract, self.N_PATHS, seed=11)
         finally:
             sys.setswitchinterval(switch)
-        assert len(started) == cpus - 1
+        # The pool starts a worker per chunk it queues while none is idle,
+        # up to min(CPUs, chunks), and joins them all before return.
+        assert 1 <= len(started) <= min(cpus, math.ceil(self.N_PATHS / 4096))
         assert threading.active_count() == before
         assert not any(t.is_alive() for t in started)
         estimate, stderr = serial_mc_reference(params, contract, self.N_PATHS, seed=11)
         assert result.estimate.hex() == estimate.hex()
         assert result.stderr.hex() == stderr.hex()
 
-    def test_one_chunk_starts_no_thread(self, monkeypatch, autocall_params, autocall_contract):
-        set_cpus(monkeypatch, 4)
-        started = []
-        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
-        mc_price(autocall_params, autocall_contract, 4096, seed=0)
-        assert started == []
-
-    def test_helper_exception_reaches_caller(self, monkeypatch, tarf_params, tarf_contract):
+    def test_worker_exception_reaches_caller(self, monkeypatch, tarf_params, tarf_contract):
         set_cpus(monkeypatch, 2)
-        failed = threading.Event()
+        failed_on = []
         real = pe._chunk_normals
 
         class ChunkFailure(Exception):
             pass
 
-        def normals(*args):
-            if threading.current_thread() is threading.main_thread():
-                # Hold the calling thread's chunk until the helper fails.
-                assert failed.wait(timeout=30), "no helper thread took a chunk"
-                return real(*args)
-            failed.set()
-            raise ChunkFailure("helper chunk")
+        def normals(seed, chunk_index, shape):
+            if chunk_index == 2:
+                failed_on.append(threading.current_thread())
+                raise ChunkFailure("worker chunk")
+            return real(seed, chunk_index, shape)
 
         monkeypatch.setattr(pe, "_chunk_normals", normals)
         before = threading.active_count()
-        with pytest.raises(ChunkFailure, match="helper chunk"):
+        with pytest.raises(ChunkFailure, match="worker chunk"):
             mc_price(tarf_params, tarf_contract, 8 * 4096, seed=0)
-        assert failed.is_set()
+        assert len(failed_on) == 1
+        assert failed_on[0] is not threading.main_thread()
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
