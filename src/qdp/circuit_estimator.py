@@ -16,7 +16,9 @@ estimation totals:
 Every stage model returns an itemized breakdown, and the reported total
 is its recomposition, so any modeling gap is auditable item by item.  Each
 item is a ``ResourceCount``, whose T-count is derived from its Toffolis
-and rotation T gates.  Totals
+and rotation T gates.  The stage models take every knob (k, M, z, and an
+autocallable's asset count d) without a default; ``end_to_end`` holds
+the only estimate defaults.  Totals
 for a full estimation run are 2 * oracle_depth * N_oracle: each Grover
 iterate applies the state preparation twice (once forward, once
 inverted), and the reflections in between are Clifford-dominated and
@@ -91,9 +93,9 @@ def riemann_loading_resources(
     d: int,
     T: int,
     epsilon: float,
-    k: int = 3,
-    M: int = 32,
-    z: int | None = None,
+    k: int,
+    M: int,
+    z: int | None,
 ) -> EstimateBreakdown:
     """Cost of loading the path distribution by Riemann summation.
 
@@ -199,9 +201,9 @@ def reparam_loading_resources(
     T: int,
     L: int,
     epsilon: float,
-    k: int = 3,
-    M: int = 32,
-    z: int | None = None,
+    k: int,
+    M: int,
+    z: int | None,
 ) -> EstimateBreakdown:
     """Cost of loading the path distribution by re-parameterization.
 
@@ -253,10 +255,10 @@ def autocall_payoff_resources(
     spec: AutocallableSpec,
     fmt: FixedPointFormat,
     epsilon_f: float,
-    k: int = 3,
-    M: int = 32,
-    z: int | None = None,
-    d: int = 1,
+    k: int,
+    M: int,
+    z: int | None,
+    d: int,
 ) -> EstimateBreakdown:
     """Cost of rotating the normalized autocallable payoff into an ancilla.
 
@@ -317,9 +319,9 @@ def tarf_payoff_resources(
     spec: TARFSpec,
     fmt: FixedPointFormat,
     epsilon_f: float,
-    k: int = 3,
-    M: int = 32,
-    z: int | None = None,
+    k: int,
+    M: int,
+    z: int | None,
 ) -> EstimateBreakdown:
     """Cost of rotating the normalized TARF payoff into an ancilla.
 
@@ -467,14 +469,6 @@ class EndToEndReport:
         }
 
 
-def _payoff_circuit(contract, fmt, epsilon_f, k, M, z, d):
-    if isinstance(contract, AutocallableSpec):
-        return autocall_payoff_resources(contract, fmt, epsilon_f, k, M, z, d=d)
-    if isinstance(contract, TARFSpec):
-        return tarf_payoff_resources(contract, fmt, epsilon_f, k, M, z)
-    raise TypeError(f"no payoff circuit model for {type(contract).__name__}")
-
-
 def end_to_end(
     method: str,
     params: GBMParams,
@@ -582,11 +576,16 @@ def end_to_end(
 
     n_oracle = math.ceil(oracle_call_bound(eps_amp, 1.0 - confidence))
 
+    # ``payoff_bounds`` above has already rejected any other contract type.
+    if isinstance(contract, AutocallableSpec):
+        payoff_bd = autocall_payoff_resources(contract, fmt, eps_f, k, M, z, d)
+    else:
+        payoff_bd = tarf_payoff_resources(contract, fmt, eps_f, k, M, z)
     return EndToEndReport(
         method=method,
         n_oracle=n_oracle,
         budget=budget,
         scale=scale,
         loading_breakdown=loading_bd,
-        payoff_breakdown=_payoff_circuit(contract, fmt, eps_f, k, M, z, d),
+        payoff_breakdown=payoff_bd,
     )

@@ -1,5 +1,5 @@
 """
-Term sheets and classical payoff evaluation for autocallables and TARFs.
+Term sheets and the one payoff fold for autocallables, TARFs and calls.
 
 An autocallable is a strip of sequential binary options: the first strike
 breach pays its coupon and knocks out everything after it, including the
@@ -7,17 +7,17 @@ short knock-in put that otherwise settles at the final date.  A TARF
 (target accrual redemption forward) is a strip of conditional forwards
 with a knock-out barrier and a cumulative-gain cap.
 
-Payoffs are evaluated on observed paths: cumulative simple returns for
-autocallables, prices at payment dates for TARFs.  Discounted payoffs are
-mapped to [0, 1] through contract-level bounds (f_min, f_max) so the same
-normalization the quantum estimators assume can be checked classically.
+The term sheets reject non-finite fields.  Discounted payoffs lie in
+contract-level bounds (f_min, f_max), the range the quantum estimators
+normalize to [0, 1].
 
 Each contract's discounted payoff on a batch of paths is one fold,
 ``_payoff_fold``, run by ``_fold_paths``: a step per observation date
 over the paths' growth factors S_t / S_0, with the contract's dates
 resolved to columns once (``_resolve_dates``).  The pricing engines and
-both batch payoffs run it; the scalar payoffs ``autocall_payoff`` and
-``tarf_payoff`` do not, so they stay an independent check of it.
+both batch payoffs run it.  The package holds no other payoff; the
+tests check the fold against scalar payoffs of their own
+(``tests/payoff_oracle.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_model import config_float, config_floats, config_list
+from .market_model import check_finite, config_float, config_floats, config_list
 
 # The elementwise op that reduces per-asset returns to an autocallable's
 # basket value, by basket name.
@@ -49,32 +49,6 @@ class PayoffBounds:
     @property
     def f_delta(self) -> float:
         return self.f_max - self.f_min
-
-
-def normalize(f: float, bounds: PayoffBounds) -> float:
-    """Map a discounted payoff to [0, 1] via (f - f_min) / f_delta."""
-    if f < bounds.f_min - 1e-9 or f > bounds.f_max + 1e-9:
-        raise ValueError(
-            f"payoff {f} outside declared bounds [{bounds.f_min}, {bounds.f_max}]"
-        )
-    return (f - bounds.f_min) / bounds.f_delta
-
-
-def discount_and_sum(payoffs, r: float) -> float:
-    """Present value sum(e^{-r t_i} f_i) of dated payoffs.
-
-    Parameters
-    ----------
-    payoffs : iterable of (time, payoff)
-    r : float
-        Continuously compounded discount rate.
-    """
-    total = 0.0
-    for t, f in payoffs:
-        if t < 0:
-            raise ValueError("payment times must be nonnegative")
-        total += math.exp(-r * t) * f
-    return total
 
 
 @dataclass(frozen=True)
@@ -117,6 +91,7 @@ class AutocallableSpec:
         object.__setattr__(
             self, "barrier_dates", tuple(float(t) for t in self.barrier_dates)
         )
+        check_finite(self, ("binaries", "k_put", "barrier", "notional", "barrier_dates"))
         if not self.binaries:
             raise ValueError("binaries must not be empty")
         times = [t for _, t, _ in self.binaries]
@@ -190,6 +165,9 @@ class TARFSpec:
         object.__setattr__(
             self, "payment_times", tuple(float(t) for t in self.payment_times)
         )
+        check_finite(
+            self, ("forward", "payment_times", "k_upper", "k_lower", "barrier", "alpha", "cap")
+        )
         if not self.payment_times:
             raise ValueError("need at least one payment date")
         ts = self.payment_times
@@ -230,6 +208,7 @@ class EuropeanCallSpec:
     expiry: float
 
     def __post_init__(self):
+        check_finite(self, ("strike", "expiry"))
         if self.strike <= 0 or self.expiry <= 0:
             raise ValueError("strike and expiry must be positive")
 
@@ -268,82 +247,15 @@ def date_columns(times, dates) -> np.ndarray:
     ------
     ValueError
         "missing observation date t" for the first date with no time
-        within ``DATE_TOLERANCE``.
+        within ``DATE_TOLERANCE``; a NaN date matches no time.
     """
     times = np.asarray(times, dtype=float)
     dates = np.asarray(dates, dtype=float)
     cols = np.abs(dates[:, None] - times[None, :]).argmin(axis=1)
-    missed = np.abs(times[cols] - dates) > DATE_TOLERANCE
+    missed = ~(np.abs(times[cols] - dates) <= DATE_TOLERANCE)
     if missed.any():
         raise ValueError(f"path is missing observation date {dates[missed][0]}")
     return cols
-
-
-def autocall_payoff(times, cum_returns, spec: AutocallableSpec):
-    """Evaluate an autocallable on one observed cumulative-return path.
-
-    Parameters
-    ----------
-    times : array_like, shape (m,)
-        Observation dates; must cover all binary and barrier dates.
-    cum_returns : array_like, shape (m,) or (m, d)
-        Cumulative simple return R_c at each date (per asset when d > 1;
-        reduced per ``spec.basket`` before evaluation).
-    spec : AutocallableSpec
-
-    Returns
-    -------
-    list of (time, undiscounted payoff)
-        At most one entry: either a binary coupon or the put settlement
-        (possibly negative).  Empty when nothing pays.
-    """
-    values = np.asarray(cum_returns, dtype=float)
-    values = functools.reduce(_BASKET_OPS[spec.basket], values.reshape(len(values), -1).T)
-    binary_cols, barrier_cols, final_col = _resolve_dates(times, spec, 1)
-    for (strike, t, payout), col in zip(spec.binaries, binary_cols):
-        if values[col] >= strike:
-            return [(t, payout)]
-
-    knocked_in = bool(np.any(values[barrier_cols] < spec.barrier))
-    final_t = spec.horizon
-    final_r = float(values[final_col])
-    if knocked_in and final_r < spec.k_put:
-        return [(final_t, spec.notional * (final_r - spec.k_put))]
-    return []
-
-
-def tarf_payoff(prices, spec: TARFSpec):
-    """Evaluate a TARF on prices observed at the payment dates.
-
-    Returns
-    -------
-    list of (time, undiscounted payoff)
-        One entry per settled date, in order; the list stops at a
-        knock-out or once the cap is reached.
-    """
-    prices = np.asarray(prices, dtype=float)
-    if prices.shape[0] != spec.n_dates:
-        raise ValueError(
-            f"expected {spec.n_dates} price observations, got {prices.shape[0]}"
-        )
-    out = []
-    total = 0.0
-    for t, s in zip(spec.payment_times, prices):
-        s = float(s)
-        if s >= spec.barrier:
-            break
-        if s > spec.k_upper:
-            f = s - spec.forward
-        elif s < spec.k_lower:
-            f = spec.alpha * (s - spec.forward)
-        else:
-            f = 0.0
-        if total + f >= spec.cap:
-            out.append((t, spec.cap - total))
-            break
-        total += f
-        out.append((t, f))
-    return out
 
 
 def payoff_bounds(spec, r: float) -> PayoffBounds:

@@ -115,19 +115,6 @@ def riemann_pmax(d: int, w: float, cov: np.ndarray | None = None) -> float:
     return math.exp(log_p)
 
 
-def riemann_sum_error(
-    fmt: FixedPointFormat, w: float, sigma_max: float, d: int, T: int
-) -> float:
-    """Fixed-point error of summing the quadratic form over d assets, T steps.
-
-    ((2 w sigma_max + n) / 2^{n-p} + 1 / 4^{n-p}) * (d + C(d,2)) * T.
-    """
-    n, p = fmt.n, fmt.p
-    frac = n - p
-    terms = d + math.comb(d, 2)
-    return ((2 * w * sigma_max + n) / 2.0**frac + 4.0**-frac) * terms * T
-
-
 def reparam_arith_error(
     w: float, d: int, T: int, eps_dens: float, eps_f: float
 ) -> float:
@@ -155,7 +142,7 @@ def eps_mul_roundoff(fmt: FixedPointFormat) -> float:
 
 def eps_mul(b: float, eps_x: float, eps_y: float, fmt: FixedPointFormat) -> float:
     """Error of X*Y with |X|,|Y| <= b and input errors eps_x, eps_y."""
-    return b * (eps_x + eps_y) + eps_x * eps_y + eps_mul_roundoff(fmt)
+    return b * (eps_x + eps_y) + eps_mul_roundoff(fmt) + eps_x * eps_y
 
 
 def eps_exp(eps_in: float, eps_exp0: float) -> float:
@@ -173,6 +160,22 @@ def eps_arcsin(eps_in: float, eps_arcsin0: float) -> float:
     if eps_in > 0.5:
         raise ValueError("input error too large for the arcsine bound")
     return eps_arcsin0 + math.asin(0.5) - math.asin(0.5 - eps_in)
+
+
+def riemann_sum_error(
+    fmt: FixedPointFormat, w: float, sigma_max: float, d: int, T: int
+) -> float:
+    """Fixed-point error of summing the quadratic form over d assets, T steps.
+
+    The form has d squared and C(d, 2) cross terms per step.  Each is one
+    multiplication (``eps_mul``) of centered returns bounded by
+    w * sigma_max, each carrying one adder rounding (``eps_add``), so the
+    bound is (d + C(d, 2)) * T times that product's error:
+    ((2 w sigma_max + n) / 2^{n-p} + 1 / 4^{n-p}) * (d + C(d, 2)) * T.
+    """
+    eps_centered = eps_add(fmt)
+    term = eps_mul(w * sigma_max, eps_centered, eps_centered, fmt)
+    return term * (d + math.comb(d, 2)) * T
 
 
 def riemann_density_error(

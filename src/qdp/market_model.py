@@ -35,6 +35,15 @@ def check_integer(name: str, value) -> int:
     return int(value)
 
 
+def check_finite(record, names) -> None:
+    """Raise a ValueError naming the first of the fields ``names`` of
+    ``record`` that holds NaN or +-inf, alone or in a (nested) tuple."""
+    for name in names:
+        value = getattr(record, name)
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def config_int(value, key: str) -> int:
     """``value`` as an int if it is an integral number such as ``100000``
     or ``1e5``; any other value raises a ValueError that names ``key``."""
@@ -105,16 +114,7 @@ class GBMParams:
         object.__setattr__(
             self, "rho", tuple(tuple(float(x) for x in row) for row in self.rho)
         )
-        fields = {
-            "r": (self.r,),
-            "dt": (self.dt,),
-            "sigmas": self.sigmas,
-            "s0": self.s0,
-            "rho": tuple(x for row in self.rho for x in row),
-        }
-        for name, values in fields.items():
-            if not all(math.isfinite(x) for x in values):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        check_finite(self, ("r", "dt", "sigmas", "s0", "rho"))
         d = len(self.sigmas)
         rho = np.asarray(self.rho, dtype=float)
         if d == 0:
@@ -256,8 +256,7 @@ class GridSpec:
     def __post_init__(self):
         if check_integer("n", self.n) < 1:
             raise ValueError("n must be >= 1")
-        if not math.isfinite(self.w):
-            raise ValueError(f"w must be finite, got {self.w!r}")
+        check_finite(self, ("w",))
         if self.w <= 0:
             raise ValueError("w must be positive")
 

@@ -70,6 +70,9 @@ from .market_model import (
 )
 
 _CHUNK_PATHS = 4096
+# Chunks handed to the pool at a time: the pool holds a future for each
+# chunk it has been given, so a window keeps that memory bounded.
+_WINDOW_CHUNKS = 64
 MAX_LATTICE_PATHS = 2**26
 MAX_INDUCTION_WORK = 2**32
 # Children per enumeration block: small enough that a block's arrays stay
@@ -136,9 +139,10 @@ def mc_price(
     where that is not available).  The pool's ``map`` yields each chunk's
     sums of payoffs and squared payoffs in chunk order, and they are added
     in that order, so the estimate does not depend on the CPU count.  The
-    first failing chunk in that order raises in the caller, and the
-    chunks not yet started are cancelled.  Every worker is joined before
-    return.
+    chunks reach the pool in windows of 64, one ``map`` per window, so the
+    queued futures stay bounded at any path count.  The first failing
+    chunk in order raises in the caller, and the chunks of its window not
+    yet started are cancelled.  Every worker is joined before return.
 
     Parameters
     ----------
@@ -175,9 +179,11 @@ def mc_price(
     total_sq = 0.0
     n_chunks = math.ceil(n_paths / _CHUNK_PATHS)
     with ThreadPoolExecutor(min(_cpu_count(), n_chunks)) as pool:
-        for chunk_total, chunk_sq in pool.map(chunk_sums, range(n_chunks)):
-            total += chunk_total
-            total_sq += chunk_sq
+        for first in range(0, n_chunks, _WINDOW_CHUNKS):
+            window = range(first, min(first + _WINDOW_CHUNKS, n_chunks))
+            for chunk_total, chunk_sq in pool.map(chunk_sums, window):
+                total += chunk_total
+                total_sq += chunk_sq
 
     mean = total / n_paths
     var = max(total_sq / n_paths - mean * mean, 0.0) * n_paths / (n_paths - 1)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from payoff_oracle import autocall_payoff, discount_and_sum, normalize, tarf_payoff
 from qdp.amplitude_estimation import (
     GroverOracleSim,
     classical_call_bound,
@@ -25,13 +26,9 @@ from qdp.amplitude_estimation import (
 from qdp.contracts import (
     AutocallableSpec,
     EuropeanCallSpec,
-    autocall_payoff,
     autocall_payoff_batch,
     contract_from_dict,
-    discount_and_sum,
-    normalize,
     payoff_bounds,
-    tarf_payoff,
     tarf_payoff_batch,
 )
 from qdp.circuit_estimator import INFEASIBLE_SCALE, end_to_end

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import pytest
@@ -22,6 +23,10 @@ from qdp.qarith_resources import FixedPointFormat, ResourceCount
 
 FMT = FixedPointFormat(n=34, p=2)
 G_FMT = FixedPointFormat(n=5, p=3)
+# end_to_end's polynomial, interval and parallelization knobs, at its defaults.
+KNOBS = {
+    name: inspect.signature(end_to_end).parameters[name].default for name in ("k", "M", "z")
+}
 
 
 def within_factor(value, reference, factor=2.0):
@@ -39,13 +44,13 @@ class TestBreakdowns:
             )
 
     def test_riemann_breakdown_recomposes(self):
-        self.assert_recomposes(riemann_loading_resources(FMT, 3, 20, 1e-4))
+        self.assert_recomposes(riemann_loading_resources(FMT, 3, 20, 1e-4, **KNOBS))
 
     def test_reparam_breakdown_recomposes(self):
-        self.assert_recomposes(reparam_loading_resources(G_FMT, 3, 20, 6, 1e-4))
+        self.assert_recomposes(reparam_loading_resources(G_FMT, 3, 20, 6, 1e-4, **KNOBS))
 
     def test_inconsistent_total_detected(self):
-        breakdown = riemann_loading_resources(FMT, 1, 2, 1e-4)
+        breakdown = riemann_loading_resources(FMT, 1, 2, 1e-4, **KNOBS)
         total = breakdown.total()
         wrong = ResourceCount(
             toffoli_count=total.toffoli_count + 1,
@@ -57,7 +62,7 @@ class TestBreakdowns:
             breakdown.assert_consistent(wrong)
 
     def test_rows_shape(self):
-        breakdown = riemann_loading_resources(FMT, 3, 20, 1e-4)
+        breakdown = riemann_loading_resources(FMT, 3, 20, 1e-4, **KNOBS)
         rows = breakdown.as_rows()
         assert all(
             set(r) == {"stage", "toffoli_count", "t_count", "t_depth", "logical_qubits"}
@@ -76,7 +81,7 @@ class TestRiemannLoading:
         assert within_factor(report.logical_qubits, 23_000)
 
     def test_d1_has_no_cross_terms(self):
-        breakdown = riemann_loading_resources(FMT, 1, 4, 1e-4)
+        breakdown = riemann_loading_resources(FMT, 1, 4, 1e-4, **KNOBS)
         cross = dict(breakdown.items)["correlation cross terms"]
         assert cross.toffoli_count == 0
         assert cross.t_depth == 0
@@ -99,7 +104,7 @@ class TestReparamLoading:
         assert within_factor(report.logical_qubits, 8_000)
 
     def test_ansatz_item_is_loader_cost_per_register(self):
-        breakdown = reparam_loading_resources(G_FMT, 3, 20, 6, 1e-4)
+        breakdown = reparam_loading_resources(G_FMT, 3, 20, 6, 1e-4, **KNOBS)
         layers = dict(breakdown.items)["gaussian ansatz layers"]
         loader = loader_gate_resources(5, 6, 1e-4)
         assert layers.t_depth == loader.t_depth
@@ -107,15 +112,15 @@ class TestReparamLoading:
         assert layers.logical_qubits == 3 * 20 * loader.logical_qubits
 
     def test_depth_linear_in_ansatz_layers(self):
-        d0 = reparam_loading_resources(G_FMT, 1, 2, 0, 1e-4).total()
-        d6 = reparam_loading_resources(G_FMT, 1, 2, 6, 1e-4).total()
+        d0 = reparam_loading_resources(G_FMT, 1, 2, 0, 1e-4, **KNOBS).total()
+        d6 = reparam_loading_resources(G_FMT, 1, 2, 6, 1e-4, **KNOBS).total()
         layer = math.ceil(3 * 5 * math.log2(5 / 1e-4))
         assert d6.t_depth - d0.t_depth == 6 * layer
 
     def test_shallower_than_riemann_at_benchmarks(self):
         for d, T in ((3, 20), (1, 26)):
-            reparam = reparam_loading_resources(G_FMT, d, T, 6, 1e-4).total()
-            riemann = riemann_loading_resources(FMT, d, T, 1e-4).total()
+            reparam = reparam_loading_resources(G_FMT, d, T, 6, 1e-4, **KNOBS).total()
+            riemann = riemann_loading_resources(FMT, d, T, 1e-4, **KNOBS).total()
             assert reparam.t_depth < riemann.t_depth
 
 
@@ -139,12 +144,12 @@ class TestLoaderResources:
 
 class TestPayoffCircuits:
     def test_autocall_benchmark_magnitudes(self, autocall_contract):
-        total = autocall_payoff_resources(autocall_contract, FMT, 1e-4, d=3).total()
+        total = autocall_payoff_resources(autocall_contract, FMT, 1e-4, **KNOBS, d=3).total()
         assert within_factor(total.t_depth, 3_200)
         assert within_factor(total.logical_qubits, 1_600)
 
     def test_autocall_rotation_count_matches_binaries(self, autocall_contract):
-        breakdown = autocall_payoff_resources(autocall_contract, FMT, 1e-4, d=3)
+        breakdown = autocall_payoff_resources(autocall_contract, FMT, 1e-4, **KNOBS, d=3)
         m = len(autocall_contract.binaries)
         rot = dict(breakdown.items)["binary coupon rotations"]
         per = rot.t_count // m
@@ -152,7 +157,7 @@ class TestPayoffCircuits:
         assert rot.logical_qubits == m
 
     def test_tarf_benchmark_magnitudes(self, tarf_contract):
-        total = tarf_payoff_resources(tarf_contract, FMT, 1e-4).total()
+        total = tarf_payoff_resources(tarf_contract, FMT, 1e-4, **KNOBS).total()
         assert within_factor(total.t_depth, 6_000)
         assert within_factor(total.logical_qubits, 9_000)
 
@@ -163,7 +168,7 @@ class TestPayoffCircuits:
             forward=20.0, payment_times=(1.0,), k_upper=20.0, k_lower=15.0,
             barrier=30.0, alpha=2.0, cap=5.0,
         )
-        breakdown = tarf_payoff_resources(spec, FMT, 1e-4)
+        breakdown = tarf_payoff_resources(spec, FMT, 1e-4, **KNOBS)
         prefix = dict(breakdown.items)["running-total prefix sums"]
         assert prefix.t_depth == 0
         assert prefix.toffoli_count == 0
@@ -197,6 +202,21 @@ class TestEndToEnd:
         for method in ("riemann", "riemann-no-norm", "reparam"):
             library = end_to_end(method, params, contract, FixedPointFormat(34, 2), 2e-3)
             assert library.as_dict() == _estimate(config, method).as_dict()
+
+    @pytest.mark.parametrize(
+        "stage",
+        [
+            riemann_loading_resources,
+            reparam_loading_resources,
+            autocall_payoff_resources,
+            tarf_payoff_resources,
+        ],
+    )
+    def test_stage_models_take_no_defaults(self, stage):
+        # end_to_end's defaults are the only ones, so a stage model called
+        # without a knob fails rather than costing another circuit.
+        params = inspect.signature(stage).parameters.values()
+        assert [p.name for p in params if p.default is not p.empty] == []
 
     @pytest.mark.parametrize("name", ["autocallable", "tarf"])
     def test_budget_scale_per_method(self, name):

@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from payoff_oracle import autocall_payoff, discount_and_sum, normalize, tarf_payoff
 from qdp.contracts import (
     AutocallableSpec,
+    EuropeanCallSpec,
     PayoffBounds,
     TARFSpec,
-    autocall_payoff,
     autocall_payoff_batch,
     contract_from_dict,
     date_columns,
-    discount_and_sum,
-    normalize,
     payoff_bounds,
-    tarf_payoff,
     tarf_payoff_batch,
 )
 
@@ -105,6 +103,51 @@ class TestSpecs:
                 contract_from_dict(doc)
 
 
+def valid_fields(cls):
+    """Keyword arguments of a valid instance of a contract spec class."""
+    return {
+        AutocallableSpec: dict(
+            binaries=((1.1, 1.0, 2.0), (1.1, 2.0, 4.0)),
+            k_put=1.0, barrier=0.7, notional=18.0, barrier_dates=(1.0, 2.0),
+        ),
+        TARFSpec: dict(
+            forward=20.0, payment_times=(1.0, 2.0), k_upper=20.0, k_lower=15.0,
+            barrier=30.0, alpha=2.0, cap=5.0,
+        ),
+        EuropeanCallSpec: dict(strike=1.0, expiry=1.0),
+    }[cls]
+
+
+def with_non_finite(fields, name, bad):
+    """``fields`` with ``bad`` in place of field ``name``, or of the last
+    number of its last entry when the field is a tuple."""
+    value = fields[name]
+    if isinstance(value, tuple):
+        last = value[-1]
+        last = last[:-1] + (bad,) if isinstance(last, tuple) else bad
+        value = value[:-1] + (last,)
+    else:
+        value = bad
+    return {**fields, name: value}
+
+
+class TestNonFiniteFields:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (cls, name)
+            for cls in (AutocallableSpec, TARFSpec, EuropeanCallSpec)
+            for name in valid_fields(cls)
+        ],
+    )
+    def test_rejected_by_name(self, cls, name, bad):
+        fields = valid_fields(cls)
+        cls(**fields)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            cls(**with_non_finite(fields, name, bad))
+
+
 class TestDateColumns:
     def test_rounded_grid_times_match(self):
         # 0.05 * arange gives 0.6000000000000001 for the date 0.6.
@@ -116,6 +159,10 @@ class TestDateColumns:
     def test_missing_date_named(self):
         with pytest.raises(ValueError, match="missing observation date 0.62"):
             date_columns([0.2, 0.4, 0.6], [0.2, 0.62])
+
+    def test_nan_date_is_missing(self):
+        with pytest.raises(ValueError, match="missing observation date nan"):
+            date_columns([0.5, 1.0], [math.nan])
 
     def test_batch_width_must_match_dates(self, autocall_fixture, tarf_fixture):
         autocall = contract_from_dict(autocall_fixture["contract"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from qdp import error_budget as eb
@@ -112,11 +114,22 @@ class TestSumError:
             (d + math.comb(d, 2)) * base
         )
 
-    def test_direct_evaluation(self):
-        n, p = FMT.n, FMT.p
+    @given(
+        st.integers(2, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+        st.floats(0.5, 8.0),
+        st.floats(1e-3, 3.0),
+        st.integers(1, 12),
+        st.integers(1, 500),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_direct_evaluation(self, n_p, w, sigma, d, T):
+        # The bound is built from eps_mul and eps_add, and gives the bits of
+        # the closed form it replaced.
+        n, p = n_p
         frac = n - p
-        expected = ((2 * 5.0 * 0.09 + n) / 2**frac + 4.0**-frac) * 6 * 20
-        assert eb.riemann_sum_error(FMT, 5.0, 0.09, 3, 20) == pytest.approx(expected)
+        expected = ((2 * w * sigma + n) / 2.0**frac + 4.0**-frac) * (d + math.comb(d, 2)) * T
+        fmt = FixedPointFormat(n=n, p=p)
+        assert eb.riemann_sum_error(fmt, w, sigma, d, T) == expected
 
 
 class TestDensityError:

@@ -1,10 +1,14 @@
-"""The pricing engines read a contract only through its payoff fold.
+"""The pricing engines read a contract only through its payoff fold, and
+the test oracle never reads the fold.
 
 ``pricing_engines`` may use these ``contracts`` names and no other: the
 fold (``_payoff_fold``, run by ``_fold_paths``), the date resolution it
 shares with forward induction, the payoff bounds and the spec classes.
-The scan parses the module and collects every ``contracts`` name it
-imports or reads as an attribute of the module.
+The scalar payoffs in ``tests/payoff_oracle.py`` may use only the spec
+classes, ``PayoffBounds`` and ``DATE_TOLERANCE``, so that they check the
+fold's dates, basket and steps rather than share them.  The scan parses a
+module and collects every ``contracts`` name it imports or reads as an
+attribute of the module.
 """
 
 import ast
@@ -20,6 +24,14 @@ FOLD_API = {
     "AutocallableSpec",
     "TARFSpec",
     "EuropeanCallSpec",
+}
+ORACLE = ROOT / "tests" / "payoff_oracle.py"
+ORACLE_API = {
+    "AutocallableSpec",
+    "TARFSpec",
+    "EuropeanCallSpec",
+    "PayoffBounds",
+    "DATE_TOLERANCE",
 }
 
 
@@ -72,3 +84,9 @@ def test_engines_read_contracts_only_through_the_fold():
     used = contracts_names(ENGINES.read_text(encoding="utf-8"))
     assert used - FOLD_API == set()
     assert "_payoff_fold" in used
+
+
+def test_oracle_reads_only_term_sheets():
+    used = contracts_names(ORACLE.read_text(encoding="utf-8"))
+    assert used - ORACLE_API == set()
+    assert "AutocallableSpec" in used

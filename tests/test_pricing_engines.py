@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import qdp.pricing_engines as pe
+from payoff_oracle import autocall_payoff, discount_and_sum, tarf_payoff
 from qdp.cli_report import load_benchmark_config
 from qdp.contracts import (
     AutocallableSpec,
@@ -24,12 +25,9 @@ from qdp.contracts import (
     TARFSpec,
     _fold_paths,
     _payoff_fold,
-    autocall_payoff,
     autocall_payoff_batch,
     contract_from_dict,
-    discount_and_sum,
     payoff_bounds,
-    tarf_payoff,
     tarf_payoff_batch,
 )
 from qdp.market_model import (
@@ -312,6 +310,41 @@ class TestThreadedChunks:
         with pytest.raises(ValueError, match="chunk 3"):
             mc_price(tarf_params, tarf_contract, 8 * 4096, seed=0)
         assert threading.active_count() == before
+
+
+class TestChunkWindows:
+    """``mc_price`` hands the pool a bounded window of chunks at a time."""
+
+    @staticmethod
+    def peak_bytes(n_chunks):
+        params = GBMParams(r=0.01, sigmas=(0.2,), rho=((1.0,),), dt=1.0, n_steps=1, s0=(1.0,))
+        call = EuropeanCallSpec(strike=1.0, expiry=1.0)
+        tracemalloc.start()
+        try:
+            mc_price(params, call, 2 * n_chunks, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_queued_chunks_stay_bounded(self, monkeypatch):
+        # Two-path chunks make the queue, not the paths, the memory.  One
+        # map over every chunk holds a future per chunk, about 1.8 KB
+        # each, so its peak grows about 4x from 500 to 2000 chunks.
+        monkeypatch.setattr(pe, "_CHUNK_PATHS", 2)
+        set_cpus(monkeypatch, 2)
+        small, large = self.peak_bytes(500), self.peak_bytes(2000)
+        assert large < 2 * small
+
+    def test_windows_keep_serial_bits(self, monkeypatch, tarf_params, tarf_contract):
+        # 151 chunks: two full windows and a partial third.
+        monkeypatch.setattr(pe, "_CHUNK_PATHS", 64)
+        set_cpus(monkeypatch, 2)
+        n_paths = 150 * 64 + 7
+        assert math.ceil(n_paths / 64) > 2 * pe._WINDOW_CHUNKS
+        result = mc_price(tarf_params, tarf_contract, n_paths, seed=5)
+        estimate, stderr = serial_mc_reference(tarf_params, tarf_contract, n_paths, seed=5)
+        assert result.estimate.hex() == estimate.hex()
+        assert result.stderr.hex() == stderr.hex()
 
 
 class TestExactLattice:

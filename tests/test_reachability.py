@@ -5,10 +5,11 @@ tool never runs.  This scan parses ``src/qdp`` and reports each top-level
 function or class whose name no ``ast.Name`` or ``ast.Attribute`` reads,
 and each method, property or annotated class field (a dataclass field)
 whose name no ``ast.Attribute`` reads, from the package itself (outside
-the definition's own body), the demos, the benchmark workloads or the
-acceptance tests.  A field that is only ever passed to the constructor is
-stored and never used.  Dunder methods are reached by the language and
-are not checked.
+the definition's own body), the demos or the benchmark.  The tests under
+``tests/`` do not count, the acceptance tests included, so no definition
+survives on them alone.  A field that is only ever passed to the
+constructor is stored and never used.  Dunder methods are reached by the
+language and are not checked.
 """
 
 import ast
@@ -16,10 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src/qdp").rglob("*.py"))
-CALLERS = sorted(
-    [*(ROOT / "demos").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
-     ROOT / "tests/test_acceptance.py"]
-)
+CALLERS = sorted([*(ROOT / "demos").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")])
 
 # Test oracles: definitions kept in the package on purpose so that a test
 # can check the production code against an independent formula.
