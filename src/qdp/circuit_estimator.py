@@ -14,15 +14,17 @@ estimation totals:
   the normalized payoff into the estimation ancilla.
 
 Every stage model returns an itemized breakdown, and the reported total
-is its recomposition, so any modeling gap is auditable item by item.  Each
-item is a ``ResourceCount``, whose T-count is derived from its Toffolis
-and rotation T gates.  The stage models take every knob (k, M, z, and an
-autocallable's asset count d) without a default; ``end_to_end`` holds
-the only estimate defaults.  Totals
-for a full estimation run are 2 * oracle_depth * N_oracle: each Grover
-iterate applies the state preparation twice (once forward, once
-inverted), and the reflections in between are Clifford-dominated and
-carry no T cost in this model.
+is its recomposition, so any modeling gap is auditable item by item.
+Each item is a ``ResourceCount``, whose T-count is derived from its
+Toffolis and rotation T gates.  Every register width comes from one
+``RegisterPlan``, which ``end_to_end`` builds once: the stage models
+read their formats, asset count d and step count T from it, and take
+every other knob (k, M, z) without a default; ``end_to_end`` holds the
+only estimate defaults and reads the widths of its error bounds from the
+same plan.  Totals for a full estimation run are 2 * oracle_depth *
+N_oracle: each Grover iterate applies the state preparation twice (once
+forward, once inverted), and the reflections in between are
+Clifford-dominated and carry no T cost in this model.
 """
 
 from __future__ import annotations
@@ -88,10 +90,30 @@ class EstimateBreakdown:
         ]
 
 
+@dataclass(frozen=True)
+class RegisterPlan:
+    """The register widths of one pricing circuit and the path shape they carry.
+
+    ``loader`` is the format of each of the d*T Gaussian loader registers,
+    ``price`` that of the price and payoff registers.  ``cumulative`` is
+    the loader format widened by ceil(log2 T) + ceil(log2 d) guard bits on
+    n and p, so cumulative sums over T steps and correlated combinations
+    of d assets stay exact.
+    """
+
+    loader: FixedPointFormat
+    price: FixedPointFormat
+    d: int
+    T: int
+
+    @property
+    def cumulative(self) -> FixedPointFormat:
+        extra = math.ceil(math.log2(self.T)) + math.ceil(math.log2(self.d))
+        return FixedPointFormat(n=self.loader.n + extra, p=self.loader.p + extra)
+
+
 def riemann_loading_resources(
-    fmt: FixedPointFormat,
-    d: int,
-    T: int,
+    plan: RegisterPlan,
     epsilon: float,
     k: int,
     M: int,
@@ -106,6 +128,7 @@ def riemann_loading_resources(
     price exponentials make the payoff inputs available.  Work across
     assets and steps runs in parallel; multiplications split z ways.
     """
+    fmt, d, T = plan.price, plan.d, plan.T
     n = fmt.n
     if z is None:
         z = n
@@ -172,16 +195,6 @@ def riemann_loading_resources(
     return EstimateBreakdown(items=tuple(items))
 
 
-def reparam_width(fmt: FixedPointFormat, d: int, T: int) -> FixedPointFormat:
-    """Accumulator width for sums over T steps and d assets.
-
-    n_bar = n + ceil(log2 T) + ceil(log2 d) guard bits keep cumulative
-    sums and correlated combinations exact.
-    """
-    extra = math.ceil(math.log2(T)) + math.ceil(math.log2(d))
-    return FixedPointFormat(n=fmt.n + extra, p=fmt.p + extra)
-
-
 def loader_gate_resources(n: int, L: int, epsilon: float) -> ResourceCount:
     """Fault-tolerant cost of one trained n-qubit loader register.
 
@@ -196,9 +209,7 @@ def loader_gate_resources(n: int, L: int, epsilon: float) -> ResourceCount:
 
 
 def reparam_loading_resources(
-    fmt: FixedPointFormat,
-    d: int,
-    T: int,
+    plan: RegisterPlan,
     L: int,
     epsilon: float,
     k: int,
@@ -210,17 +221,18 @@ def reparam_loading_resources(
     dT standard Gaussian registers are prepared in parallel by the
     trained Ry-CNOT ansatz (L+1 rotation layers); quantum arithmetic then
     applies the affine map (cumulative sums, Cholesky correlation
-    multiplies, drift) and exponentiates into prices on widened
-    registers.
+    multiplies, drift) and exponentiates into prices on the plan's
+    widened ``cumulative`` registers.
     """
-    wide = reparam_width(fmt, d, T)
+    d, T = plan.d, plan.T
+    wide = plan.cumulative
     if z is None:
         z = wide.n
     add = add_resources(wide)
     mul = mul_resources(wide, z)
     expo = exp_resources(wide, k, M, z)
 
-    loader = loader_gate_resources(fmt.n, L, epsilon)
+    loader = loader_gate_resources(plan.loader.n, L, epsilon)
     items = [
         ("gaussian ansatz layers", ResourceCount(
             rotation_t_count=loader.rotation_t_count * d * T,
@@ -253,12 +265,11 @@ def reparam_loading_resources(
 
 def autocall_payoff_resources(
     spec: AutocallableSpec,
-    fmt: FixedPointFormat,
+    plan: RegisterPlan,
     epsilon_f: float,
     k: int,
     M: int,
     z: int | None,
-    d: int,
 ) -> EstimateBreakdown:
     """Cost of rotating the normalized autocallable payoff into an ancilla.
 
@@ -269,6 +280,7 @@ def autocall_payoff_resources(
     controlled-rotation cascade.  The budget epsilon_f splits evenly
     across the three rotation/arithmetic stages.
     """
+    fmt, d = plan.price, plan.d
     n = fmt.n
     if z is None:
         z = n
@@ -317,7 +329,7 @@ def autocall_payoff_resources(
 
 def tarf_payoff_resources(
     spec: TARFSpec,
-    fmt: FixedPointFormat,
+    plan: RegisterPlan,
     epsilon_f: float,
     k: int,
     M: int,
@@ -332,6 +344,7 @@ def tarf_payoff_resources(
     the per-date errors add in quadrature), the discounted sum, arcsin of
     its square root, and the rotation cascade.
     """
+    fmt = plan.price
     n = fmt.n
     if z is None:
         z = n
@@ -521,19 +534,20 @@ def end_to_end(
     """
     if method not in ("riemann", "riemann-no-norm", "reparam"):
         raise ValueError(f"unknown method {method!r}")
-    d, T = params.d, params.n_steps
+    plan = RegisterPlan(gaussian_fmt, fmt, params.d, params.n_steps)
+    d, T = plan.d, plan.T
     cov = build_covariance(params)
     sig = sigma_max(cov)
     bounds = payoff_bounds(contract, params.r)
 
     eps_trunc = eb.truncation_error(d, T, w)
-    eps_disc = eb.discretization_error(beta, w, sig, d, T, fmt.n)
+    eps_disc = eb.discretization_error(beta, w, sig, d, T, plan.price.n)
     if method == "reparam":
         eps_arith = eb.reparam_arith_error(w, d, T, eps_dens, eps_f)
     else:
-        eps_sum = eb.riemann_sum_error(fmt, w, sig, d, T)
+        eps_sum = eb.riemann_sum_error(plan.price, w, sig, d, T)
         eps_dens_r = eb.riemann_density_error(
-            eps_sum, fmt, eps_exp0=1e-7, eps_arcsin0=1e-7
+            eps_sum, plan.price, eps_exp0=1e-7, eps_arcsin0=1e-7
         )
         eps_arith = eps_dens_r + eps_f
 
@@ -556,14 +570,10 @@ def end_to_end(
     # where the normalization is applied.
     budget_scale = bounds.f_delta
     if method == "reparam":
-        loading_bd = reparam_loading_resources(
-            gaussian_fmt, d, T, L, synthesis_epsilon, k, M, z
-        )
+        loading_bd = reparam_loading_resources(plan, L, synthesis_epsilon, k, M, z)
         scale = 1.0
     else:
-        loading_bd = riemann_loading_resources(
-            fmt, d, T, synthesis_epsilon, k, M, z
-        )
+        loading_bd = riemann_loading_resources(plan, synthesis_epsilon, k, M, z)
         p_max = eb.riemann_pmax(d, w, cov if d > 1 else None)
         scale = p_max**T
         if method == "riemann":
@@ -578,9 +588,9 @@ def end_to_end(
 
     # ``payoff_bounds`` above has already rejected any other contract type.
     if isinstance(contract, AutocallableSpec):
-        payoff_bd = autocall_payoff_resources(contract, fmt, eps_f, k, M, z, d)
+        payoff_bd = autocall_payoff_resources(contract, plan, eps_f, k, M, z)
     else:
-        payoff_bd = tarf_payoff_resources(contract, fmt, eps_f, k, M, z)
+        payoff_bd = tarf_payoff_resources(contract, plan, eps_f, k, M, z)
     return EndToEndReport(
         method=method,
         n_oracle=n_oracle,
