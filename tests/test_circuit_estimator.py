@@ -255,6 +255,37 @@ class TestEndToEnd:
         assert report.oracle == EstimateBreakdown(loading.items + payoff.items).total()
         assert report.logical_qubits == report.oracle.logical_qubits
 
+    @pytest.mark.parametrize(
+        "method, moves_with",
+        [("reparam", "gaussian_fmt"), ("riemann", "fmt"), ("riemann-no-norm", "fmt")],
+    )
+    def test_eps_disc_reads_the_discretized_register(
+        self, method, moves_with, autocall_params, autocall_contract
+    ):
+        # reparam discretizes each step on its loader registers, the Riemann
+        # methods on price-format return registers.
+        def eps_disc(fmt, gaussian_fmt):
+            return end_to_end(
+                method, autocall_params, autocall_contract, fmt, 2e-3,
+                gaussian_fmt=gaussian_fmt,
+            ).budget.eps_disc
+
+        base = eps_disc(FMT, G_FMT)
+        wider_price = eps_disc(FixedPointFormat(n=35, p=2), G_FMT)
+        wider_loader = eps_disc(FMT, FixedPointFormat(n=6, p=3))
+        if moves_with == "fmt":
+            moved, kept = wider_price, wider_loader
+        else:
+            moved, kept = wider_loader, wider_price
+        # One more bit halves the cell width, and the midpoint bound goes as
+        # its square.
+        assert moved == pytest.approx(base / 4)
+        assert kept == base
+
+    def test_reparam_eps_disc_at_loader_width(self, autocall_params, autocall_contract):
+        report = end_to_end("reparam", autocall_params, autocall_contract, FMT, 2e-3)
+        assert report.budget.eps_disc == pytest.approx(6.85e-7, rel=1e-3)
+
     def test_unachievable_target_names_binding_component(
         self, autocall_params, autocall_contract
     ):
