@@ -32,9 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import error_budget as eb
 from .amplitude_estimation import oracle_call_bound
-from .contracts import AutocallableSpec, TARFSpec, payoff_bounds
+from .contracts import AutocallableSpec, TARFSpec, _resolve_dates, payoff_bounds
 from .market_model import GBMParams, build_covariance, sigma_max
 from .qarith_resources import (
     FixedPointFormat,
@@ -344,11 +346,10 @@ def tarf_payoff_resources(
     the per-date errors add in quadrature), the discounted sum, arcsin of
     its square root, and the rotation cascade.
     """
-    fmt = plan.price
+    fmt, T = plan.price, plan.T
     n = fmt.n
     if z is None:
         z = n
-    T = spec.n_dates
     eps_stage = epsilon_f / 3.0
 
     comp_d = comparator_depth(n)
@@ -529,8 +530,9 @@ def end_to_end(
     Raises
     ------
     ValueError
-        If the error components already exceed the target; the message
-        names the binding component.
+        If the contract's dates do not fit the model's steps and assets
+        (as for the pricing engines), or if the error components already
+        exceed the target; the message names the binding component.
     """
     if method not in ("riemann", "riemann-no-norm", "reparam"):
         raise ValueError(f"unknown method {method!r}")
@@ -539,6 +541,9 @@ def end_to_end(
     cov = build_covariance(params)
     sig = sigma_max(cov)
     bounds = payoff_bounds(contract, params.r)
+    # The pricing engines' date check: a contract whose dates do not fit
+    # the model's T steps of d assets has no circuit to cost.
+    _resolve_dates(params.dt * np.arange(1, T + 1), contract, d)
 
     eps_trunc = eb.truncation_error(d, T, w)
     # The reparam lattice is its loader registers; the Riemann methods

@@ -11,9 +11,12 @@ from pathlib import Path
 import pytest
 
 from qdp import cli_report
+from qdp.circuit_estimator import end_to_end
 from qdp.cli_report import REFERENCE_RESULTS, load_benchmark_config, main
 from qdp.contracts import contract_from_dict, payoff_bounds
 from qdp.error_budget import truncation_error
+from qdp.market_model import GBMParams
+from qdp.qarith_resources import FixedPointFormat
 
 
 def run_cli(capsys, *argv):
@@ -358,6 +361,52 @@ class TestEstimatorCommands:
         doc = json.loads(out)
         assert set(doc) >= {"eps_trunc", "eps_disc", "eps_arith", "eps_amp", "scale"}
         assert doc["eps_trunc"] + doc["eps_disc"] + doc["eps_arith"] < 2e-3
+
+    @staticmethod
+    def misfit_config(case: str) -> tuple[dict, str]:
+        """A shipped config whose contract dates do not fit its model, and
+        the error the date check gives."""
+        if case == "tarf_26_dates_on_13_steps":
+            doc = load_benchmark_config("tarf")
+            doc["model"]["T"] = 13
+            return doc, "expected 26 price observations, got 13"
+        if case == "tarf_on_two_assets":
+            doc = load_benchmark_config("tarf")
+            doc["model"].update(
+                d=2, sigmas=[0.4, 0.3], rho=[[1.0, 0.0], [0.0, 1.0]], s0=[20.0, 20.0]
+            )
+            return doc, "TARF evaluation requires a single underlying"
+        doc = load_benchmark_config("autocallable")
+        doc["contract"]["barrier_dates"][0] = 0.033
+        return doc, "missing observation date 0.033"
+
+    @pytest.mark.parametrize(
+        "case",
+        ["tarf_26_dates_on_13_steps", "tarf_on_two_assets", "autocall_barrier_off_grid"],
+    )
+    @pytest.mark.parametrize(
+        "entry", ["end_to_end", "estimate-resources", "error-budget", "price-mc"]
+    )
+    def test_dates_that_do_not_fit_the_model_are_refused(
+        self, tmp_path, capsys, case, entry
+    ):
+        # The estimate refuses what the pricing engines refuse, by the same
+        # date check and with the same message.
+        doc, message = self.misfit_config(case)
+        if entry == "end_to_end":
+            params = GBMParams.from_dict(doc["model"])
+            contract = contract_from_dict(doc["contract"])
+            for method in ("riemann", "riemann-no-norm", "reparam"):
+                with pytest.raises(ValueError, match=message):
+                    end_to_end(method, params, contract, FixedPointFormat(34, 2), 2e-3)
+            return
+        doc["paths"] = 100
+        config = tmp_path / "misfit.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, entry, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_unsupported_contract_is_config_error(self, tmp_path, capsys):
         doc = load_benchmark_config("tarf")
