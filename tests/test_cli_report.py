@@ -408,6 +408,28 @@ class TestEstimatorCommands:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("command", ["estimate-resources", "error-budget"])
+    def test_loader_width_set_twice_must_agree(self, tmp_path, capsys, command):
+        # grid.n sets price-exact's lattice and gaussian_fmt.n the estimate's
+        # loader registers: a config that sets both to different widths
+        # would price one lattice and cost another.
+        doc = load_benchmark_config("autocallable")
+        doc["gaussian_fmt"]["n"] = 4
+        with pytest.raises(ValueError, match=r"'grid\.n' \(5\) and 'gaussian_fmt\.n' \(4\)"):
+            cli_report._estimate(doc)
+        config = tmp_path / "widths.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "'grid.n' (5) and 'gaussian_fmt.n' (4)" in err
+        # Without grid.n, gaussian_fmt.n sets the width: one bit fewer, four
+        # times the discretization bound.
+        del doc["grid"]["n"]
+        assert cli_report._estimate(doc).budget.eps_disc == pytest.approx(
+            4 * cli_report._estimate(load_benchmark_config("autocallable")).budget.eps_disc
+        )
+
     def test_unsupported_contract_is_config_error(self, tmp_path, capsys):
         doc = load_benchmark_config("tarf")
         doc["contract"] = {"type": "european_call", "strike": 20.0, "expiry": 1.0}
