@@ -37,12 +37,17 @@ _BASKET_OPS = {"worst_of": np.minimum, "best_of": np.maximum}
 
 @dataclass(frozen=True)
 class PayoffBounds:
-    """Range [f_min, f_max] containing every discounted payoff."""
+    """Range [f_min, f_max] containing every discounted payoff.
+
+    Both bounds must be finite: a finite term sheet whose payoff range
+    overflows a float has no normalization to estimate.
+    """
 
     f_min: float
     f_max: float
 
     def __post_init__(self):
+        check_finite(self, ("f_min", "f_max"))
         if not self.f_max > self.f_min:
             raise ValueError("f_max must exceed f_min")
 

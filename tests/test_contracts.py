@@ -47,6 +47,31 @@ class TestFixtureTraces:
         assert bounds.f_min == pytest.approx(ref["f_min"])
         assert bounds.f_max == pytest.approx(ref["f_max"])
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            AutocallableSpec(
+                binaries=((1.1, 1.0, 2.0),), k_put=10.0, barrier=0.7,
+                notional=1e308, barrier_dates=(1.0,),
+            ),
+            TARFSpec(
+                forward=10.0, payment_times=(0.5, 1.0), k_upper=10.0, k_lower=5.0,
+                barrier=20.0, alpha=1e308, cap=5.0,
+            ),
+        ],
+        ids=["autocall_notional", "tarf_alpha"],
+    )
+    def test_overflowing_payoff_range_is_refused(self, spec):
+        # Finite term sheets whose loss floor overflows to -inf.
+        with pytest.raises(ValueError, match="f_min must be finite, got -inf"):
+            payoff_bounds(spec, r=0.0)
+
+    def test_bounds_name_the_non_finite_field(self):
+        with pytest.raises(ValueError, match="f_max must be finite, got inf"):
+            PayoffBounds(f_min=0.0, f_max=math.inf)
+        with pytest.raises(ValueError, match="f_min must be finite, got nan"):
+            PayoffBounds(f_min=math.nan, f_max=1.0)
+
     def test_tarf_cap_dominates_f_max(self, tarf_fixture):
         spec = contract_from_dict(tarf_fixture["contract"])
         bounds = payoff_bounds(spec, r=0.0)
