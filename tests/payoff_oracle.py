@@ -6,13 +6,17 @@ reduction and discounting, and read nothing of ``qdp.contracts`` but the
 term sheets, ``PayoffBounds`` and ``DATE_TOLERANCE``
 (``tests/test_import_boundary.py`` holds them to that).  So a defect in
 the fold's dates, basket or steps shows up as a disagreement with them.
+``brute_force_lattice_price`` prices a one-asset register lattice path by
+path with them, the reference the exact engines are checked against.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from qdp.contracts import DATE_TOLERANCE, AutocallableSpec, PayoffBounds, TARFSpec
+from qdp.market_model import lattice
 
 # The reduction of per-asset returns to an autocallable's basket value.
 _BASKET = {"worst_of": np.min, "best_of": np.max}
@@ -119,3 +123,30 @@ def tarf_payoff(prices, spec: TARFSpec):
         total += f
         out.append((t, f))
     return out
+
+
+def brute_force_lattice_price(params, contract, grid):
+    """Independent enumerator: per-path pmf products and the scalar payoffs.
+
+    Visits every path of a one-asset model's register lattice, multiplies
+    its step masses, and prices it with ``autocall_payoff`` or
+    ``tarf_payoff``.  Returns (price, total mass) of an autocallable or
+    TARF.
+    """
+    law = lattice(grid, params)
+    coords = law.mu[0] + law.chol[0, 0] * law.coords
+    pmf = law.masses
+    times = params.dt * np.arange(1, params.n_steps + 1)
+    price = mass = 0.0
+    for combo in itertools.product(range(len(coords)), repeat=params.n_steps):
+        prob = 1.0
+        for i in combo:
+            prob *= pmf[i]
+        cum = np.exp(np.cumsum(coords[list(combo)]))
+        if isinstance(contract, TARFSpec):
+            payments = tarf_payoff(params.s0[0] * cum, contract)
+        else:
+            payments = autocall_payoff(times, cum, contract)
+        price += prob * discount_and_sum(payments, params.r)
+        mass += prob
+    return price, mass

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import qdp.pricing_engines as pe
-from payoff_oracle import autocall_payoff, discount_and_sum, tarf_payoff
+from payoff_oracle import brute_force_lattice_price
 from qdp.cli_report import load_benchmark_config
 from qdp.contracts import (
     AutocallableSpec,
@@ -75,30 +75,6 @@ def fixture_tarf(tarf_fixture, n_dates=3):
     doc = dict(tarf_fixture["contract"])
     doc["payment_times"] = [k / 3.0 for k in range(1, n_dates + 1)]
     return contract_from_dict(doc)
-
-
-def brute_force_lattice_price(params, contract, grid):
-    """Independent enumerator: per-path pmf products and scalar payoffs.
-
-    Returns (price, total mass) of a one-asset autocallable or TARF.
-    """
-    law = lattice(grid, params)
-    coords = law.mu[0] + law.chol[0, 0] * law.coords
-    pmf = law.masses
-    times = params.dt * np.arange(1, params.n_steps + 1)
-    price = mass = 0.0
-    for combo in itertools.product(range(len(coords)), repeat=params.n_steps):
-        prob = 1.0
-        for i in combo:
-            prob *= pmf[i]
-        cum = np.exp(np.cumsum(coords[list(combo)]))
-        if isinstance(contract, TARFSpec):
-            payments = tarf_payoff(params.s0[0] * cum, contract)
-        else:
-            payments = autocall_payoff(times, cum, contract)
-        price += prob * discount_and_sum(payments, params.r)
-        mass += prob
-    return price, mass
 
 
 class TestMonteCarlo:
