@@ -220,9 +220,16 @@ class TestEndToEnd:
     )
     def test_stage_models_take_no_defaults(self, stage):
         # end_to_end's defaults are the only ones, so a stage model called
-        # without a knob fails rather than costing another circuit.
+        # without a knob fails rather than costing another circuit.  And a
+        # register width, d or T reaches a stage model only through its plan.
         params = inspect.signature(stage).parameters.values()
         assert [p.name for p in params if p.default is not p.empty] == []
+        widths = [
+            p.name for p in params
+            if p.name in ("d", "T") or "FixedPointFormat" in str(p.annotation)
+        ]
+        assert widths == []
+        assert "RegisterPlan" in [str(p.annotation) for p in params]
 
     @pytest.mark.parametrize("name", ["autocallable", "tarf"])
     def test_budget_scale_per_method(self, name):
