@@ -548,8 +548,8 @@ def end_to_end(
     eps_trunc = eb.truncation_error(d, T, w)
     # The reparam lattice is its loader registers; the Riemann methods
     # discretize returns on price-format registers.
-    grid = plan.loader if method == "reparam" else plan.price
-    eps_disc = eb.discretization_error(beta, w, sig, d, T, grid.n)
+    lattice_fmt = plan.loader if method == "reparam" else plan.price
+    eps_disc = eb.discretization_error(beta, w, sig, d, T, lattice_fmt.n)
     if method == "reparam":
         eps_arith = eb.reparam_arith_error(w, d, T, eps_dens, eps_f)
     else:

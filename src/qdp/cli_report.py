@@ -199,17 +199,15 @@ def _estimate(doc: dict, method: str | None = None) -> ce.EndToEndReport:
     if _get(grid, "w") is not None:
         kwargs["w"] = config_float(grid["w"], "grid.w")
     if _get(doc, "gaussian_fmt") is not None:
-        kwargs["gaussian_fmt"] = _fmt_from(doc, "gaussian_fmt")
+        loader = kwargs["gaussian_fmt"] = _fmt_from(doc, "gaussian_fmt")
         # price-exact prices the grid.n lattice; the estimate's loader
         # registers must hold the same one.
-        if _get(grid, "n") is not None:
-            grid_n = config_int(grid["n"], "grid.n")
-            if grid_n != kwargs["gaussian_fmt"].n:
-                raise ValueError(
-                    f"config keys 'grid.n' ({grid_n}) and 'gaussian_fmt.n' "
-                    f"({kwargs['gaussian_fmt'].n}) must match: both set the "
-                    "loader register width"
-                )
+        grid_n = None if _get(grid, "n") is None else config_int(grid["n"], "grid.n")
+        if grid_n not in (None, loader.n):
+            raise ValueError(
+                f"config keys 'grid.n' ({grid_n}) and 'gaussian_fmt.n' ({loader.n}) "
+                "must match: both set the loader register width"
+            )
     return ce.end_to_end(
         method or _get(doc, "method", "reparam"),
         params,
