@@ -23,16 +23,15 @@ from qdp.qarith_resources import FixedPointFormat, ResourceCount
 
 FMT = FixedPointFormat(n=34, p=2)
 G_FMT = FixedPointFormat(n=5, p=3)
+# end_to_end's polynomial, interval and parallelization knobs, at its defaults.
+KNOBS = {
+    name: inspect.signature(end_to_end).parameters[name].default for name in ("k", "M", "z")
+}
 
 
 def plan(d, T):
     """The shipped configs' register plan for d assets and T steps."""
     return RegisterPlan(loader=G_FMT, price=FMT, d=d, T=T)
-
-# end_to_end's polynomial, interval and parallelization knobs, at its defaults.
-KNOBS = {
-    name: inspect.signature(end_to_end).parameters[name].default for name in ("k", "M", "z")
-}
 
 
 def within_factor(value, reference, factor=2.0):
